@@ -24,7 +24,7 @@ BENCH_FLAGS = -table 6 -quick -stream-bench -index-bench -eval-bench -pipeline-b
 # results); `make clean-data` wipes it.
 DATA_DIR ?= gecco-data
 
-.PHONY: build test race vet lint staticcheck fmt-check bench bench-gate bench-baseline shard-bench serve examples clean-data all
+.PHONY: build test race vet lint staticcheck fmt-check perfbench-check bench bench-gate bench-baseline shard-bench serve examples clean-data all
 
 all: build vet lint fmt-check test
 
@@ -63,6 +63,13 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
+
+# perfbench is its own module over this one's internal packages, so an
+# internal API change can break its build without `go build ./...` noticing.
+# Vet and test it with perfbench/run.sh's offline environment.
+PERFBENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTOOLCHAIN=local
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test .
 
 # Quick Table VI run with a machine-readable report (the CI artifact).
 bench:

@@ -382,7 +382,7 @@ func sessionBench(opts experiments.Options) error {
 	t0 := time.Now()
 	for i, set := range sets {
 		t := time.Now()
-		res, err := core.Run(log, set, cfg)
+		res, err := core.Run(context.Background(), log, set, cfg)
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
 // Command gecco-serve exposes the GECCO pipeline as a concurrent HTTP
-// service with a sharded result cache and cooperative cancellation: a
+// service with an LRU result cache and cooperative cancellation: a
 // disconnected client or a shutdown signal stops in-flight pipeline runs
 // mid-frontier. POST /stream serves the online workload: NDJSON traces in,
 // abstracted NDJSON out, with named per-stream abstractor state kept in a
@@ -116,10 +116,7 @@ func main() {
 			o.JobIDPrefix = fmt.Sprintf("s%d-", i)
 			svc := service.New(o)
 			svcs = append(svcs, svc)
-			servers = append(servers, &http.Server{
-				Addr:    fmt.Sprintf("127.0.0.1:%d", basePort+1+i),
-				Handler: service.Handler(svc),
-			})
+			servers = append(servers, newServer(fmt.Sprintf("127.0.0.1:%d", basePort+1+i), service.Handler(svc)))
 		}
 		coord, err := service.NewRouter(nil, service.ShardOptions{
 			Peers: peerURLs, MemberIDs: memberIDs, Self: -1,
@@ -128,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gecco-serve:", err)
 			os.Exit(1)
 		}
-		servers = append(servers, &http.Server{Addr: *addr, Handler: coord})
+		servers = append(servers, newServer(*addr, coord))
 		fmt.Printf("gecco-serve coordinator on %s fronting %d shards (ports %d-%d)\n",
 			*addr, *shards, basePort+1, basePort+*shards)
 
@@ -157,13 +154,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gecco-serve:", err)
 			os.Exit(1)
 		}
-		servers = append(servers, &http.Server{Addr: *addr, Handler: router})
+		servers = append(servers, newServer(*addr, router))
 		fmt.Printf("gecco-serve shard %d/%d on %s (advertised %s)\n", self, len(list), *addr, *advertise)
 
 	default:
 		svc := service.New(opts)
 		svcs = append(svcs, svc)
-		servers = append(servers, &http.Server{Addr: *addr, Handler: service.Handler(svc)})
+		servers = append(servers, newServer(*addr, service.Handler(svc)))
 		fmt.Printf("gecco-serve listening on %s (max-jobs=%d cache-size=%d max-streams=%d)\n", *addr, *maxJobs, *cacheSize, *streams)
 	}
 	if *dataDir != "" {
@@ -208,6 +205,26 @@ func main() {
 
 // listenPort extracts the numeric port of a listen address like ":8080" or
 // "0.0.0.0:8080"; shard ports are allocated consecutively after it.
+// Connection timeouts for every server. Headers must arrive promptly and
+// idle keep-alive connections are reaped, so slow or abandoned clients
+// cannot pin connections. There is deliberately no read or write timeout:
+// /stream is full-duplex NDJSON that stays open as long as the client
+// keeps sending, and a long solve may legitimately hold a response open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the one constructor for gecco-serve's HTTP servers.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func listenPort(addr string) (int, error) {
 	_, portStr, err := net.SplitHostPort(addr)
 	if err != nil {

@@ -135,13 +135,14 @@ func AbstractContext(ctx context.Context, log *Log, constraintText string, cfg C
 
 // AbstractSet runs the GECCO pipeline with an already-built constraint set.
 func AbstractSet(log *Log, set *ConstraintSet, cfg Config) (*Result, error) {
-	return core.Run(log, set, cfg)
+	//lint:gecco-allow(ctxflow): convenience wrapper; AbstractSetContext is the cancellable variant
+	return AbstractSetContext(context.Background(), log, set, cfg)
 }
 
 // AbstractSetContext is AbstractSet under a context; cancellation stops the
 // pipeline mid-frontier and returns an error wrapping ctx.Err().
 func AbstractSetContext(ctx context.Context, log *Log, set *ConstraintSet, cfg Config) (*Result, error) {
-	return core.RunContext(ctx, log, set, cfg)
+	return core.Run(ctx, log, set, cfg)
 }
 
 // Session binds GECCO's constraint-independent analysis state to one log:

@@ -96,7 +96,7 @@ func TestBLQNotBetterThanGecco(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gecco, err := core.Run(log, set, core.Config{Mode: core.DFGUnbounded})
+	gecco, err := core.Run(context.Background(), log, set, core.Config{Mode: core.DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBLPVersusGeccoSilhouette(t *testing.T) {
 	n := x.NumClasses()
 	target := n / 2
 	set := constraints.NewSet(constraints.GroupCount{Op: constraints.EQ, N: target})
-	gecco, err := core.Run(log, set, core.Config{Mode: core.Exhaustive})
+	gecco, err := core.Run(context.Background(), log, set, core.Config{Mode: core.Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBLGStopsAtLocalOptimum(t *testing.T) {
 		}
 	}
 	// Greedy cannot beat the global optimum (Exh on the same problem).
-	opt, err := core.Run(log, set, core.Config{Mode: core.Exhaustive})
+	opt, err := core.Run(context.Background(), log, set, core.Config{Mode: core.Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}

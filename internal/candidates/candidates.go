@@ -208,18 +208,11 @@ func (s *set) hasSatisfyingSubset(g bitset.Set, universe int) bool {
 // groups of increasing size with monotonicity-based pruning. The frontier of
 // each lattice level is evaluated in parallel across workers (<= 0 means one
 // per CPU); results are merged in frontier order, so the output is identical
-// for any worker count.
-func Exhaustive(x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; ExhaustiveCtx is the cancellable variant
-	return ExhaustiveCtx(context.Background(), x, ev, budget, workers)
-}
-
-// ExhaustiveCtx is Exhaustive under a context: the enumeration stops
-// mid-frontier when ctx is cancelled or its deadline (composed with
-// Budget.TimeLimit, whichever is earlier) expires, returning the candidates
-// found so far with TimedOut set. With a never-cancelled context the result
-// is byte-identical to Exhaustive.
-func ExhaustiveCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
+// for any worker count. The enumeration stops mid-frontier when ctx is
+// cancelled or its deadline (composed with Budget.TimeLimit, whichever is
+// earlier) expires, returning the candidates found so far with TimedOut
+// set; a never-cancelled context never changes the result.
+func Exhaustive(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()
 	n := x.NumClasses()
@@ -341,15 +334,9 @@ func appendPathKey(buf []byte, nodes []int) []byte {
 // unlimited (the DFG∞ configuration). Path scoring and constraint
 // evaluation of each frontier fan out across workers (<= 0 means one per
 // CPU) with a sequential in-order merge, so the search — including the beam
-// cut — is deterministic for any worker count.
-func DFGBased(x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; DFGBasedCtx is the cancellable variant
-	return DFGBasedCtx(context.Background(), x, ev, dc, g, beamWidth, budget, workers)
-}
-
-// DFGBasedCtx is DFGBased under a context; see ExhaustiveCtx for the
+// cut — is deterministic for any worker count. See Exhaustive for the
 // cancellation and deadline-composition semantics.
-func DFGBasedCtx(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
+func DFGBased(ctx context.Context, x *eventlog.Index, ev *constraints.Evaluator, dc *distance.Calc, g *dfg.Graph, beamWidth int, budget Budget, workers int) Result {
 	w := par.Workers(workers)
 	mode := ev.Set.CheckingMode()
 	bs := &budgetState{Budget: budget}

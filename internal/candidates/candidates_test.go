@@ -1,6 +1,7 @@
 package candidates
 
 import (
+	"context"
 	"testing"
 
 	"gecco/internal/bitset"
@@ -51,7 +52,7 @@ func asKeySet(x *eventlog.Index, groups []bitset.Set) map[string]bool {
 // co-occur. The key §II candidates must be present.
 func TestExhaustiveRoleConstraint(t *testing.T) {
 	x, ev, _, _ := setup(t, "distinct(role) <= 1")
-	res := Exhaustive(x, ev, Budget{}, 1)
+	res := Exhaustive(context.Background(), x, ev, Budget{}, 1)
 	if res.TimedOut {
 		t.Fatal("unexpected timeout")
 	}
@@ -87,7 +88,7 @@ func TestExhaustiveOccursFilter(t *testing.T) {
 	}}
 	x := eventlog.NewIndex(log)
 	ev := constraints.NewEvaluator(x, &constraints.Set{}, instances.SplitOnRepeat)
-	res := Exhaustive(x, ev, Budget{}, 1)
+	res := Exhaustive(context.Background(), x, ev, Budget{}, 1)
 	got := asKeySet(x, res.Groups)
 	if got["b,c"] {
 		t.Error("non-co-occurring group {b,c} must be pruned")
@@ -101,7 +102,7 @@ func TestExhaustiveOccursFilter(t *testing.T) {
 // and the candidate set has exactly the occurring groups of size <= 2.
 func TestExhaustiveAntiMonotonicPruning(t *testing.T) {
 	x, ev, _, _ := setup(t, "|g| <= 2")
-	res := Exhaustive(x, ev, Budget{}, 1)
+	res := Exhaustive(context.Background(), x, ev, Budget{}, 1)
 	for _, g := range res.Groups {
 		if g.Len() > 2 {
 			t.Fatalf("candidate %s exceeds size bound", names(x, g))
@@ -124,7 +125,7 @@ func TestExhaustiveAntiMonotonicPruning(t *testing.T) {
 // core.Run's verification pass for the end-to-end guarantee.
 func TestExhaustiveMonotonic(t *testing.T) {
 	x, ev, _, _ := setup(t, "sum(duration) >= 101")
-	res := Exhaustive(x, ev, Budget{}, 1)
+	res := Exhaustive(context.Background(), x, ev, Budget{}, 1)
 	keys := make(map[string]bool, len(res.Groups))
 	for _, g := range res.Groups {
 		keys[g.Key()] = true
@@ -162,7 +163,7 @@ func TestExhaustiveMonotonic(t *testing.T) {
 
 func TestExhaustiveBudget(t *testing.T) {
 	x, ev, _, _ := setup(t)
-	res := Exhaustive(x, ev, Budget{MaxChecks: 10}, 1)
+	res := Exhaustive(context.Background(), x, ev, Budget{MaxChecks: 10}, 1)
 	if !res.TimedOut {
 		t.Fatal("expected budget exhaustion")
 	}
@@ -175,7 +176,7 @@ func TestExhaustiveBudget(t *testing.T) {
 // must induce a weakly connected subgraph of the DFG.
 func TestDFGBasedConnected(t *testing.T) {
 	x, ev, dc, g := setup(t, "distinct(role) <= 1")
-	res := DFGBased(x, ev, dc, g, -1, Budget{}, 1)
+	res := DFGBased(context.Background(), x, ev, dc, g, -1, Budget{}, 1)
 	for _, grp := range res.Groups {
 		if grp.Len() < 2 {
 			continue
@@ -222,10 +223,10 @@ func weaklyConnected(g *dfg.Graph, grp bitset.Set) bool {
 // Beam pruning yields a subset of the unbounded DFG candidates.
 func TestDFGBeamSubset(t *testing.T) {
 	x, ev, dc, g := setup(t, "distinct(role) <= 1")
-	full := DFGBased(x, ev, dc, g, -1, Budget{}, 1)
+	full := DFGBased(context.Background(), x, ev, dc, g, -1, Budget{}, 1)
 	ev2 := constraints.NewEvaluator(x, ev.Set, instances.SplitOnRepeat)
 	dc2 := distance.NewCalc(x, instances.SplitOnRepeat)
-	beam := DFGBased(x, ev2, dc2, g, 3, Budget{}, 1)
+	beam := DFGBased(context.Background(), x, ev2, dc2, g, 3, Budget{}, 1)
 	fullSet := asKeySet(x, full.Groups)
 	for _, grp := range beam.Groups {
 		if !fullSet[names(x, grp)] {
@@ -243,7 +244,7 @@ func TestDFGBeamSubset(t *testing.T) {
 // differ (Figure 6).
 func TestExclusiveMergeRunningExample(t *testing.T) {
 	x, ev, dc, g := setup(t, "distinct(role) <= 1")
-	res := DFGBased(x, ev, dc, g, -1, Budget{}, 1)
+	res := DFGBased(context.Background(), x, ev, dc, g, -1, Budget{}, 1)
 	merged := ExclusiveMerge(x, ev, g, res.Groups)
 	got := asKeySet(x, merged)
 	if !got["ckc,ckt"] {
@@ -267,7 +268,7 @@ func TestExclusiveMergeRunningExample(t *testing.T) {
 // The merged exclusive group must respect class-based constraints.
 func TestExclusiveMergeRespectsClassConstraints(t *testing.T) {
 	x, ev, dc, g := setup(t, "cannotlink(ckc, ckt)")
-	res := DFGBased(x, ev, dc, g, -1, Budget{}, 1)
+	res := DFGBased(context.Background(), x, ev, dc, g, -1, Budget{}, 1)
 	merged := ExclusiveMerge(x, ev, g, res.Groups)
 	got := asKeySet(x, merged)
 	if got["ckc,ckt"] {
@@ -277,7 +278,7 @@ func TestExclusiveMergeRespectsClassConstraints(t *testing.T) {
 
 func TestDFGBudget(t *testing.T) {
 	x, ev, dc, g := setup(t)
-	res := DFGBased(x, ev, dc, g, -1, Budget{MaxChecks: 5}, 1)
+	res := DFGBased(context.Background(), x, ev, dc, g, -1, Budget{MaxChecks: 5}, 1)
 	if !res.TimedOut {
 		t.Fatal("expected budget exhaustion")
 	}
@@ -290,7 +291,7 @@ func TestDFGBudget(t *testing.T) {
 // every satisfying singleton as a candidate, keeping Step 2 feasible.
 func TestBeamKeepsSingletons(t *testing.T) {
 	x, ev, dc, g := setup(t)
-	res := DFGBased(x, ev, dc, g, 1, Budget{}, 1)
+	res := DFGBased(context.Background(), x, ev, dc, g, 1, Budget{}, 1)
 	singles := 0
 	for _, grp := range res.Groups {
 		if grp.Len() == 1 {

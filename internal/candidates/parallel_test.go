@@ -120,10 +120,10 @@ func TestExhaustiveParallelDeterminism(t *testing.T) {
 	x, set := exhaustiveFixture(t)
 	for _, budget := range []Budget{{}, {MaxChecks: 60}} {
 		evSeq := constraints.NewEvaluator(x, set, instances.SplitOnRepeat)
-		seq := Exhaustive(x, evSeq, budget, 1)
+		seq := Exhaustive(context.Background(), x, evSeq, budget, 1)
 		for _, w := range []int{2, 4, runtime.NumCPU()} {
 			ev := constraints.NewEvaluator(x, set, instances.SplitOnRepeat)
-			got := Exhaustive(x, ev, budget, w)
+			got := Exhaustive(context.Background(), x, ev, budget, w)
 			if got.Checks != seq.Checks || got.TimedOut != seq.TimedOut {
 				t.Fatalf("budget %+v workers %d: checks/timeout = %d/%v, want %d/%v",
 					budget, w, got.Checks, got.TimedOut, seq.Checks, seq.TimedOut)
@@ -153,11 +153,11 @@ func TestDFGBasedParallelDeterminism(t *testing.T) {
 	for _, beam := range []int{-1, 3} {
 		evSeq := constraints.NewEvaluator(x, set, instances.SplitOnRepeat)
 		dcSeq := distance.NewCalc(x, instances.SplitOnRepeat)
-		seq := DFGBased(x, evSeq, dcSeq, g, beam, Budget{}, 1)
+		seq := DFGBased(context.Background(), x, evSeq, dcSeq, g, beam, Budget{}, 1)
 		for _, w := range []int{2, runtime.NumCPU()} {
 			ev := constraints.NewEvaluator(x, set, instances.SplitOnRepeat)
 			dc := distance.NewCalc(x, instances.SplitOnRepeat)
-			got := DFGBased(x, ev, dc, g, beam, Budget{}, w)
+			got := DFGBased(context.Background(), x, ev, dc, g, beam, Budget{}, w)
 			if got.Checks != seq.Checks {
 				t.Fatalf("beam %d workers %d: checks = %d, want %d", beam, w, got.Checks, seq.Checks)
 			}

@@ -13,7 +13,7 @@ import (
 
 // The LB-gated beam sort must produce the exact same first `cut` paths, in
 // the same order, as the full stable sort — the rest of the slice is never
-// read by DFGBasedCtx. Ties (duplicate groups included) must keep insertion
+// read by DFGBased. Ties (duplicate groups included) must keep insertion
 // order. The lower bound must actually prune: skipping exact Eq. 1
 // evaluations is the whole point.
 func TestSortPathsByDistLBGatedMatchesFullSort(t *testing.T) {

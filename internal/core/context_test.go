@@ -16,7 +16,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := RunContext(ctx, procgen.RunningExampleTable1(), roleSet(), Config{Mode: DFGUnbounded})
+	res, err := Run(ctx, procgen.RunningExampleTable1(), roleSet(), Config{Mode: DFGUnbounded})
 	if res != nil {
 		t.Fatalf("result %+v, want nil on cancelled context", res)
 	}
@@ -32,7 +32,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestRunContextPreExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := RunContext(ctx, procgen.RunningExampleTable1(), roleSet(), Config{Mode: DFGUnbounded})
+	_, err := Run(ctx, procgen.RunningExampleTable1(), roleSet(), Config{Mode: DFGUnbounded})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
 	}
@@ -42,7 +42,7 @@ func TestRunContextPreExpiredDeadline(t *testing.T) {
 // with the candidates found so far, exactly as without a context.
 func TestRunContextTimeLimitStillSoft(t *testing.T) {
 	cfg := Config{Mode: DFGUnbounded, Budget: candidates.Budget{TimeLimit: time.Nanosecond}}
-	res, err := RunContext(context.Background(), procgen.RunningExampleTable1(), roleSet(), cfg)
+	res, err := Run(context.Background(), procgen.RunningExampleTable1(), roleSet(), cfg)
 	if err != nil {
 		t.Fatalf("TimeLimit expiry returned error %v, want partial result", err)
 	}
@@ -64,7 +64,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	go func() {
 		// Exhaustive with no budget on the loan log runs far longer than
 		// the test timeout unless cancellation cuts it.
-		_, err := RunContext(ctx, log, roleSet(), Config{Mode: Exhaustive})
+		_, err := Run(ctx, log, roleSet(), Config{Mode: Exhaustive})
 		done <- err
 	}()
 	select {
@@ -77,15 +77,17 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// With a never-cancelled context the pipeline output is byte-identical to
-// the context-free entry point.
+// With a live, cancellable context the pipeline output is byte-identical to
+// a run under a context that can never be cancelled.
 func TestRunContextDeterministicWhenLive(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	want, err := Run(log, roleSet(), Config{Mode: DFGUnbounded})
+	want, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded})
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := Run(live, log, roleSet(), Config{Mode: DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}

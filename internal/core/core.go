@@ -1,7 +1,7 @@
 // Package core orchestrates the GECCO pipeline of §V: Step 1 candidate
 // computation (exhaustive or DFG-based, plus exclusive-alternative merging),
 // Step 2 optimal grouping via weighted set partitioning, and Step 3 trace
-// abstraction. The one-shot Run/RunContext entry points are thin wrappers
+// abstraction. The one-shot Run entry point is a thin wrapper
 // over the two-phase Session engine (session.go), which builds the
 // constraint-independent artifacts of a log once and solves many constraint
 // sets on top of them. The root package gecco wraps this with the public
@@ -132,21 +132,16 @@ type Result struct {
 }
 
 // Run executes the full GECCO pipeline on the log under the constraint set.
-func Run(log *eventlog.Log, set *constraints.Set, cfg Config) (*Result, error) {
-	//lint:gecco-allow(ctxflow): convenience wrapper; RunContext is the cancellable variant
-	return RunContext(context.Background(), log, set, cfg)
-}
-
-// RunContext is Run under a context. Cancellation (a disconnected client, a
-// server shutdown) stops the pipeline mid-frontier and mid-solve and returns
-// an error wrapping ctx.Err(); a context deadline composes with
-// Budget.TimeLimit — whichever expires first cuts the candidate frontier,
-// and only the context's own expiry turns into an error. A never-cancelled
-// context leaves results byte-identical to Run.
+// Cancellation (a disconnected client, a server shutdown) stops the
+// pipeline mid-frontier and mid-solve and returns an error wrapping
+// ctx.Err(); a context deadline composes with Budget.TimeLimit — whichever
+// expires first cuts the candidate frontier, and only the context's own
+// expiry turns into an error. A never-cancelled context never changes the
+// result.
 //
-// RunContext builds a fresh Session per call; callers that abstract the same
-// log repeatedly should hold a Session and call Solve instead.
-func RunContext(ctx context.Context, log *eventlog.Log, set *constraints.Set, cfg Config) (*Result, error) {
+// Run builds a fresh Session per call; callers that abstract the same log
+// repeatedly should hold a Session and call Solve instead.
+func Run(ctx context.Context, log *eventlog.Log, set *constraints.Set, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"gecco/internal/bitset"
 	"gecco/internal/dfg"
@@ -35,7 +36,7 @@ func groupingKey(gc [][]string) string {
 // {rej}, {prio,inf,arv} with dist = 3.08.
 func TestGoldenFigure7DFG(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	res, err := Run(log, roleSet(), Config{Mode: DFGUnbounded})
+	res, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestGoldenFigure7DFG(t *testing.T) {
 // avoids by using DFG-based candidates in Figure 7.
 func TestGoldenExhaustiveFindsCheaperCover(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	res, err := Run(log, roleSet(), Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, roleSet(), Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestGoldenExhaustiveFindsCheaperCover(t *testing.T) {
 // Both Step 2 solvers must agree on the optimum.
 func TestSolversAgree(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	bb, err := Run(log, roleSet(), Config{Mode: DFGUnbounded, Solver: SolverBB})
+	bb, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded, Solver: SolverBB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := Run(log, roleSet(), Config{Mode: DFGUnbounded, Solver: SolverMIP})
+	mp, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded, Solver: SolverMIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestSolversAgree(t *testing.T) {
 // the abstracted traces match Figure 3's DFG shape.
 func TestAbstractedTraces(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	res, err := Run(log, roleSet(), Config{Mode: DFGUnbounded, NamePrefix: "clrk"})
+	res, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded, NamePrefix: "clrk"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestGroupingConstraint(t *testing.T) {
 		constraints.MustParse("distinct(role) <= 1"),
 		constraints.MustParse("|G| <= 3"),
 	)
-	res, err := Run(log, set, Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestInfeasibleReturnsOriginalLog(t *testing.T) {
 		constraints.MustParse("|g| <= 1"),
 		constraints.MustParse("|G| <= 3"), // 8 classes cannot fit 3 singletons
 	)
-	res, err := Run(log, set, Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestInfeasibleReturnsOriginalLog(t *testing.T) {
 func TestVerificationPassMonotonic(t *testing.T) {
 	log := procgen.RunningExampleTable1()
 	set := constraints.NewSet(constraints.MustParse("sum(duration) >= 101"))
-	res, err := Run(log, set, Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestVerificationPassMonotonic(t *testing.T) {
 func TestBeamFeasibleAndNotBetterThanOptimal(t *testing.T) {
 	log := procgen.RunningExample(150, 23)
 	set := roleSet()
-	opt, err := Run(log, set, Config{Mode: DFGUnbounded})
+	opt, err := Run(context.Background(), log, set, Config{Mode: DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	beam, err := Run(log, set, Config{Mode: DFGBeam, BeamWidth: 5})
+	beam, err := Run(context.Background(), log, set, Config{Mode: DFGBeam, BeamWidth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestBeamFeasibleAndNotBetterThanOptimal(t *testing.T) {
 // each other, so no path contains both) and thus yield a higher distance.
 func TestAblationExclusiveMerge(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	with, err := Run(log, roleSet(), Config{Mode: DFGUnbounded})
+	with, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Run(log, roleSet(), Config{Mode: DFGUnbounded, SkipExclusiveMerge: true})
+	without, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded, SkipExclusiveMerge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestAblationExclusiveMerge(t *testing.T) {
 }
 
 func TestEmptyLogRejected(t *testing.T) {
-	if _, err := Run(&eventlog.Log{}, roleSet(), Config{}); err == nil {
+	if _, err := Run(context.Background(), &eventlog.Log{}, roleSet(), Config{}); err == nil {
 		t.Fatal("expected error for empty log")
 	}
 }
@@ -232,7 +233,7 @@ func TestGlobalConstraintNoGoodIteration(t *testing.T) {
 			{Class: "a"}, {Class: "b"}, {Class: "c"},
 		}})
 	}
-	free, err := Run(log, constraints.NewSet(), Config{Mode: Exhaustive})
+	free, err := Run(context.Background(), log, constraints.NewSet(), Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestGlobalConstraintNoGoodIteration(t *testing.T) {
 		t.Fatalf("free optimum should be the single full group, got %v", free.GroupClasses)
 	}
 	set := constraints.NewSet(constraints.MustParse("avginstances >= 2"))
-	res, err := Run(log, set, Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestGlobalConstraintInfeasible(t *testing.T) {
 		constraints.MustParse("|g| <= 1"), // singletons only: >= 6 instances/trace
 		constraints.MustParse("avginstances <= 2.0"),
 	)
-	res, err := Run(log, set, Config{Mode: Exhaustive})
+	res, err := Run(context.Background(), log, set, Config{Mode: Exhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +293,10 @@ func TestModeAndSolverStrings(t *testing.T) {
 
 func TestUnknownModeAndSolver(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	if _, err := Run(log, roleSet(), Config{Mode: Mode(99)}); err == nil {
+	if _, err := Run(context.Background(), log, roleSet(), Config{Mode: Mode(99)}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if _, err := Run(log, roleSet(), Config{Solver: Solver(99)}); err == nil {
+	if _, err := Run(context.Background(), log, roleSet(), Config{Solver: Solver(99)}); err == nil {
 		t.Fatal("unknown solver accepted")
 	}
 }
@@ -308,7 +309,7 @@ func TestNameByClassAttr(t *testing.T) {
 		constraints.MustParse("distinct(class.org) <= 1"),
 		constraints.MustParse("|g| <= 8"),
 	)
-	res, err := Run(log, set, Config{Mode: DFGUnbounded, NameByClassAttr: "org"})
+	res, err := Run(context.Background(), log, set, Config{Mode: DFGUnbounded, NameByClassAttr: "org"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestNameByClassAttr(t *testing.T) {
 // process classes.
 func TestNamingFollowsProcessOrder(t *testing.T) {
 	log := procgen.RunningExampleTable1()
-	res, err := Run(log, roleSet(), Config{Mode: DFGUnbounded, NamePrefix: "clrk"})
+	res, err := Run(context.Background(), log, roleSet(), Config{Mode: DFGUnbounded, NamePrefix: "clrk"})
 	if err != nil || !res.Feasible {
 		t.Fatal("pipeline failed")
 	}
@@ -369,7 +370,7 @@ func TestCustomCandidates(t *testing.T) {
 		}
 		return out, nil
 	}}
-	res, err := Run(log, constraints.NewSet(), cfg)
+	res, err := Run(context.Background(), log, constraints.NewSet(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestCustomCandidatesError(t *testing.T) {
 	cfg := Config{CustomCandidates: func(*eventlog.Index, *dfg.Graph) ([]bitset.Set, error) {
 		return nil, errSentinel
 	}}
-	if _, err := Run(log, constraints.NewSet(), cfg); err == nil {
+	if _, err := Run(context.Background(), log, constraints.NewSet(), cfg); err == nil {
 		t.Fatal("candidate error not propagated")
 	}
 }

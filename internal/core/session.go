@@ -158,7 +158,7 @@ func (s *Session) MemoSize() int {
 
 // Solve runs the constraint-dependent pipeline — Step 1 candidate
 // computation, Step 2 optimal grouping, Step 3 abstraction — on the frozen
-// session artifacts. Results are byte-identical to RunContext on the same
+// session artifacts. Results are byte-identical to Run on the same
 // inputs: the shared memos only ever return values a fresh run would have
 // computed. Per-solve accounting (ConstraintChecks, timings) starts from
 // zero on every call.
@@ -167,7 +167,7 @@ func (s *Session) Solve(ctx context.Context, set *constraints.Set, cfg Config) (
 }
 
 // solve is Solve with an optional original log: one-shot callers
-// (RunContext) still hold the *Log the session was built from and pass it
+// (Run) still hold the *Log the session was built from and pass it
 // through, so an infeasible run returns that exact pointer instead of
 // paying for a materialised copy the caller would discard.
 func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, origLog *eventlog.Log) (*Result, error) {
@@ -194,15 +194,15 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 	} else {
 		switch cfg.Mode {
 		case Exhaustive:
-			cr = candidates.ExhaustiveCtx(ctx, x, ev, cfg.Budget, workers)
+			cr = candidates.Exhaustive(ctx, x, ev, cfg.Budget, workers)
 		case DFGUnbounded:
-			cr = candidates.DFGBasedCtx(ctx, x, ev, dc, graph, -1, cfg.Budget, workers)
+			cr = candidates.DFGBased(ctx, x, ev, dc, graph, -1, cfg.Budget, workers)
 		case DFGBeam:
 			k := cfg.BeamWidth
 			if k <= 0 {
 				k = 5 * x.NumClasses()
 			}
-			cr = candidates.DFGBasedCtx(ctx, x, ev, dc, graph, k, cfg.Budget, workers)
+			cr = candidates.DFGBased(ctx, x, ev, dc, graph, k, cfg.Budget, workers)
 		default:
 			return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
 		}
@@ -245,9 +245,9 @@ func (s *Session) solve(ctx context.Context, set *constraints.Set, cfg Config, o
 		}
 		switch cfg.Solver {
 		case SolverBB:
-			return cover.SolveBBCtx(ctx, prob, cfg.SolverTimeout), nil
+			return cover.SolveBB(ctx, prob, cfg.SolverTimeout), nil
 		case SolverMIP:
-			r, _ := cover.SolveMIPCtx(ctx, prob, mip.Options{TimeLimit: cfg.SolverTimeout})
+			r, _ := cover.SolveMIP(ctx, prob, mip.Options{TimeLimit: cfg.SolverTimeout})
 			return r, nil
 		default:
 			return cover.Result{}, fmt.Errorf("core: unknown solver %d", cfg.Solver)

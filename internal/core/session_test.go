@@ -51,7 +51,7 @@ func TestSessionSolveMatchesRun(t *testing.T) {
 	for _, mode := range modes {
 		for _, text := range texts {
 			cfg := Config{Mode: mode}
-			cold, err := Run(log, sessionSet(t, text), cfg)
+			cold, err := Run(context.Background(), log, sessionSet(t, text), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestSessionPolicyIsolation(t *testing.T) {
 	}
 	for _, policy := range []instances.Policy{instances.SplitOnRepeat, instances.WholeTrace} {
 		cfg := Config{Mode: DFGUnbounded, Policy: policy}
-		cold, err := Run(log, sessionSet(t, "distinct(role) <= 1"), cfg)
+		cold, err := Run(context.Background(), log, sessionSet(t, "distinct(role) <= 1"), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestSessionConcurrentSolves(t *testing.T) {
 	// Sequential references on fresh sessions.
 	refs := make([]*Result, len(texts))
 	for i, text := range texts {
-		r, err := Run(log, sessionSet(t, text), Config{Mode: DFGUnbounded})
+		r, err := Run(context.Background(), log, sessionSet(t, text), Config{Mode: DFGUnbounded})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestSessionEmptyLog(t *testing.T) {
 }
 
 // TestSessionSolveCancelled checks that a pre-cancelled context is rejected
-// before any work, like RunContext.
+// before any work, like Run.
 func TestSessionSolveCancelled(t *testing.T) {
 	sess, err := NewSession(procgen.RunningExampleTable1())
 	if err != nil {

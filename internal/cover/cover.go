@@ -66,26 +66,14 @@ type Result struct {
 
 // SolveBB solves the problem exactly with depth-first branch and bound over
 // classes. Costs must be non-negative (GECCO's distance always is); +Inf
-// costs effectively remove a candidate.
-func SolveBB(p *Problem) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveBBCtx is the cancellable variant
-	return solveBB(context.Background(), p, time.Time{})
-}
-
-// SolveBBTimeout is SolveBB with a wall-clock budget; on expiry the best
-// incumbent found so far (if any) is returned with Feasible reflecting it.
-func SolveBBTimeout(p *Problem, budget time.Duration) Result {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveBBCtx is the cancellable variant
-	return SolveBBCtx(context.Background(), p, budget)
-}
-
-// SolveBBCtx is SolveBBTimeout under a context: the search additionally
-// stops — keeping the best incumbent found so far — when ctx is cancelled
-// or its deadline (composed with budget, whichever is earlier) expires.
-func SolveBBCtx(ctx context.Context, p *Problem, budget time.Duration) Result {
+// costs effectively remove a candidate. The search stops — keeping the best
+// incumbent found so far, with Feasible reflecting it — when ctx is
+// cancelled or when its deadline or the wall-clock budget (> 0; whichever
+// is earlier) expires. Budget 0 with a never-cancelled context is exact.
+func SolveBB(ctx context.Context, p *Problem, budget time.Duration) Result {
 	deadline := time.Time{}
 	if budget > 0 {
-		//lint:gecco-allow(wallclock): opt-in wall-clock budget of SolveBBTimeout; exact solves pass budget=0 and never read the clock
+		//lint:gecco-allow(wallclock): opt-in wall-clock budget; exact solves pass budget=0 and never read the clock
 		deadline = time.Now().Add(budget)
 	}
 	if cd, ok := ctx.Deadline(); ok && (deadline.IsZero() || cd.Before(deadline)) {
@@ -311,14 +299,8 @@ func greedyCover(p *Problem, byClass [][]int) ([]int, float64, bool) {
 
 // SolveMIP solves the problem via the paper's MIP formulation (Eq. 3–5):
 // binary selected_g and covered_c variables with coverage-linking rows.
-func SolveMIP(p *Problem, opts mip.Options) (Result, mip.Status) {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveMIPCtx is the cancellable variant
-	return SolveMIPCtx(context.Background(), p, opts)
-}
-
-// SolveMIPCtx is SolveMIP under a context; cancellation aborts the
-// branch-and-bound search (see mip.SolveContext).
-func SolveMIPCtx(ctx context.Context, p *Problem, opts mip.Options) (Result, mip.Status) {
+// Cancelling ctx aborts the branch-and-bound search (see mip.Solve).
+func SolveMIP(ctx context.Context, p *Problem, opts mip.Options) (Result, mip.Status) {
 	nG := len(p.Candidates)
 	nC := p.NumClasses
 	nv := nG + nC // selected_0..nG-1, covered_0..nC-1
@@ -408,8 +390,8 @@ func SolveMIPCtx(ctx context.Context, p *Problem, opts mip.Options) (Result, mip
 		addRow(sel, lp.GE, float64(p.MinGroups))
 	}
 
-	sol := mip.SolveContext(ctx, prob, opts)
-	// Like SolveBBCtx, a truncated search (time limit, cancellation, node
+	sol := mip.Solve(ctx, prob, opts)
+	// Like SolveBB, a truncated search (time limit, cancellation, node
 	// limit) still yields its best incumbent when one was found; only a
 	// solve with no integral solution at all is infeasible.
 	if sol.X == nil {

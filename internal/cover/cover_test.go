@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestSimplePartition(t *testing.T) {
 		Costs:      []float64{1, 1, 1, 5},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBB(context.Background(), p, 0)
 	if !r.Feasible || math.Abs(r.Cost-2) > 1e-9 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -42,7 +43,7 @@ func TestInfeasibleUncovered(t *testing.T) {
 		Costs:      []float64{1},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBB(context.Background(), p, 0)
 	if r.Feasible {
 		t.Fatal("expected infeasible")
 	}
@@ -60,7 +61,7 @@ func TestInfeasibleOverlapOnly(t *testing.T) {
 		Costs:      []float64{1, 1},
 		MaxGroups:  -1,
 	}
-	if r := SolveBB(p); r.Feasible {
+	if r := SolveBB(context.Background(), p, 0); r.Feasible {
 		t.Fatal("expected infeasible cover")
 	}
 }
@@ -74,12 +75,12 @@ func TestMaxGroupsBound(t *testing.T) {
 		Costs:      []float64{1, 1, 1, 2.5},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBB(context.Background(), p, 0)
 	if math.Abs(r.Cost-3) > 1e-9 {
 		t.Fatalf("unbounded cost = %f, want 3", r.Cost)
 	}
 	p.MaxGroups = 2
-	r = SolveBB(p)
+	r = SolveBB(context.Background(), p, 0)
 	if !r.Feasible || math.Abs(r.Cost-3.5) > 1e-9 || len(r.Selected) != 2 {
 		t.Fatalf("bounded r = %+v", r)
 	}
@@ -95,7 +96,7 @@ func TestMinGroupsBound(t *testing.T) {
 		MinGroups:  3,
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBB(context.Background(), p, 0)
 	if !r.Feasible || len(r.Selected) != 3 || math.Abs(r.Cost-3) > 1e-9 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -108,7 +109,7 @@ func TestInfiniteCostExcluded(t *testing.T) {
 		Costs:      []float64{math.Inf(1), 1, 1},
 		MaxGroups:  -1,
 	}
-	r := SolveBB(p)
+	r := SolveBB(context.Background(), p, 0)
 	if !r.Feasible || len(r.Selected) != 2 {
 		t.Fatalf("r = %+v", r)
 	}
@@ -177,8 +178,8 @@ func TestRandomisedCrossValidation(t *testing.T) {
 			p.MinGroups = 1 + rng.Intn(2)
 		}
 		ref, feasible := brute(p)
-		bb := SolveBB(p)
-		mipRes, mipStatus := SolveMIP(p, mip.Options{})
+		bb := SolveBB(context.Background(), p, 0)
+		mipRes, mipStatus := SolveMIP(context.Background(), p, mip.Options{})
 		if bb.Feasible != feasible {
 			t.Fatalf("trial %d: BB feasible=%v brute=%v", trial, bb.Feasible, feasible)
 		}
@@ -217,12 +218,12 @@ func TestForbiddenSelections(t *testing.T) {
 		Costs:      []float64{1, 0.9, 0.8, 1, 1},
 		MaxGroups:  -1,
 	}
-	first := SolveBB(p)
+	first := SolveBB(context.Background(), p, 0)
 	if !first.Feasible || len(first.Selected) != 1 || first.Selected[0] != 0 {
 		t.Fatalf("first = %+v", first)
 	}
 	p.Forbidden = append(p.Forbidden, first.Selected)
-	second := SolveBB(p)
+	second := SolveBB(context.Background(), p, 0)
 	if !second.Feasible {
 		t.Fatal("second-best should exist")
 	}
@@ -233,13 +234,13 @@ func TestForbiddenSelections(t *testing.T) {
 		t.Fatalf("second cost = %f, want 1.7", second.Cost)
 	}
 	// MIP agrees.
-	mipRes, st := SolveMIP(p, mip.Options{})
+	mipRes, st := SolveMIP(context.Background(), p, mip.Options{})
 	if st != mip.Optimal || math.Abs(mipRes.Cost-1.7) > 1e-9 {
 		t.Fatalf("MIP second: status %v cost %f", st, mipRes.Cost)
 	}
 	// Forbid that too: only singletons remain (cost 2.8).
 	p.Forbidden = append(p.Forbidden, second.Selected)
-	third := SolveBB(p)
+	third := SolveBB(context.Background(), p, 0)
 	if !third.Feasible || math.Abs(third.Cost-2.8) > 1e-9 {
 		t.Fatalf("third = %+v", third)
 	}
@@ -254,13 +255,13 @@ func TestForbiddenExhaustion(t *testing.T) {
 		MaxGroups:  -1,
 	}
 	for i := 0; i < 2; i++ {
-		r := SolveBB(p)
+		r := SolveBB(context.Background(), p, 0)
 		if !r.Feasible {
 			t.Fatalf("round %d should be feasible", i)
 		}
 		p.Forbidden = append(p.Forbidden, r.Selected)
 	}
-	if r := SolveBB(p); r.Feasible {
+	if r := SolveBB(context.Background(), p, 0); r.Feasible {
 		t.Fatalf("all covers forbidden, got %+v", r)
 	}
 }
@@ -285,7 +286,7 @@ func TestGreedyWarmStartConsistency(t *testing.T) {
 			p.Costs = append(p.Costs, 0.1+rng.Float64())
 		}
 		ref, feasible := brute(p)
-		r := SolveBB(p)
+		r := SolveBB(context.Background(), p, 0)
 		if r.Feasible != feasible {
 			t.Fatalf("trial %d feasibility mismatch", trial)
 		}

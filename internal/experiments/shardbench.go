@@ -46,14 +46,12 @@ var shardBenchSets = []string{
 const shardBenchLogCount = 8
 
 // Per-shard capacities, deliberately fixed and small: scale-out must come
-// from adding shards, not growing any one of them. The result cap stays
-// below 16 on purpose — NewCache keeps caches that small in a single
-// exact-LRU shard, so the arithmetic below is exact rather than modulo
-// internal bucket collisions. The three cluster sizes then hit three
-// clean regimes: 1 shard thrashes everything (48 result keys and 8
-// sessions cycle through caps of 15 and 4 — classic cyclic-LRU zero-hit),
-// 2 shards keep sessions warm (4 logs each) while results still thrash
-// (24 keys > 15), and 4 shards fit entirely (12 keys, 2 sessions each).
+// from adding shards, not growing any one of them. Both caches are exact
+// LRUs, so the three cluster sizes hit three clean regimes: 1 shard
+// thrashes everything (48 result keys and 8 sessions cycle through caps of
+// 15 and 4 — classic cyclic-LRU zero-hit), 2 shards keep sessions warm (4
+// logs each) while results still thrash (24 keys > 15), and 4 shards fit
+// entirely (12 keys, 2 sessions each).
 const (
 	shardBenchSessionCap = 4
 	shardBenchResultCap  = 15

@@ -92,17 +92,11 @@ const (
 	blandCap = 4 // switch to Bland's rule after blandCap*(m+n) iterations
 )
 
-// Solve solves the problem with two-phase primal simplex.
-func Solve(p *Problem) Solution {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveContext is the cancellable variant
-	return SolveContext(context.Background(), p)
-}
-
-// SolveContext is Solve under a context: cancellation is sampled every
-// ctxSampleInterval pivots and aborts the solve with Status Cancelled. A
-// never-cancelled context leaves the pivot sequence — and so the solution —
-// identical to Solve.
-func SolveContext(ctx context.Context, p *Problem) Solution {
+// Solve solves the problem with two-phase primal simplex. Cancellation is
+// sampled every ctxSampleInterval pivots and aborts the solve with Status
+// Cancelled; a never-cancelled context never changes the pivot sequence —
+// and so the solution.
+func Solve(ctx context.Context, p *Problem) Solution {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}

@@ -20,7 +20,7 @@ func TestSimpleLE(t *testing.T) {
 		B:       []float64{4},
 		Upper:   []float64{2, 3},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -39,7 +39,7 @@ func TestEqualityAndGE(t *testing.T) {
 		Ops:     []RelOp{EQ, GE},
 		B:       []float64{10, 3},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -57,7 +57,7 @@ func TestInfeasible(t *testing.T) {
 		Ops:     []RelOp{GE, LE},
 		B:       []float64{5, 2},
 	}
-	if s := Solve(p); s.Status != Infeasible {
+	if s := Solve(context.Background(), p); s.Status != Infeasible {
 		t.Fatalf("status %v, want infeasible", s.Status)
 	}
 }
@@ -71,7 +71,7 @@ func TestUnbounded(t *testing.T) {
 		Ops:     []RelOp{},
 		B:       []float64{},
 	}
-	if s := Solve(p); s.Status != Unbounded {
+	if s := Solve(context.Background(), p); s.Status != Unbounded {
 		t.Fatalf("status %v, want unbounded", s.Status)
 	}
 }
@@ -85,7 +85,7 @@ func TestNegativeRHS(t *testing.T) {
 		Ops:     []RelOp{LE},
 		B:       []float64{-3},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal || !approx(s.X[0], 3, 1e-9) {
 		t.Fatalf("status %v x %v", s.Status, s.X)
 	}
@@ -102,7 +102,7 @@ func TestFixedVariable(t *testing.T) {
 		Lower:   []float64{2, 0},
 		Upper:   []float64{2, math.Inf(1)},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal {
 		t.Fatalf("status %v", s.Status)
 	}
@@ -121,7 +121,7 @@ func TestLowerBoundShift(t *testing.T) {
 		B:       []float64{},
 		Lower:   []float64{1.5},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal || !approx(s.X[0], 1.5, 1e-9) {
 		t.Fatalf("status %v x %v", s.Status, s.X)
 	}
@@ -136,7 +136,7 @@ func TestDegenerateRedundantRows(t *testing.T) {
 		Ops:     []RelOp{EQ, EQ, EQ},
 		B:       []float64{4, 4, 8},
 	}
-	s := Solve(p)
+	s := Solve(context.Background(), p)
 	if s.Status != Optimal || !approx(s.Obj, 4, 1e-9) { // x=4, y=0
 		t.Fatalf("status %v obj %f", s.Status, s.Obj)
 	}
@@ -192,7 +192,7 @@ func TestRandomisedAgainstGrid(t *testing.T) {
 			p.Ops = append(p.Ops, LE)
 			p.B = append(p.B, rng.Float64()*6)
 		}
-		s := Solve(p)
+		s := Solve(context.Background(), p)
 		if s.Status != Optimal {
 			t.Fatalf("trial %d: status %v", trial, s.Status)
 		}
@@ -217,13 +217,13 @@ func TestValidationErrors(t *testing.T) {
 			t.Fatal("expected panic on malformed problem")
 		}
 	}()
-	Solve(&Problem{NumVars: 2, C: []float64{1}})
+	Solve(context.Background(), &Problem{NumVars: 2, C: []float64{1}})
 }
 
 func TestSolveContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := SolveContext(ctx, &Problem{
+	s := Solve(ctx, &Problem{
 		NumVars: 2,
 		C:       []float64{-1, -1},
 		A:       [][]float64{{1, 1}},
@@ -233,15 +233,17 @@ func TestSolveContextCancelled(t *testing.T) {
 	if s.Status != Cancelled {
 		t.Fatalf("status %v, want cancelled", s.Status)
 	}
-	// A live context must match the plain solve exactly.
-	want := Solve(&Problem{
+	// A live, cancellable context must match a never-cancelled one exactly.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	want := Solve(context.Background(), &Problem{
 		NumVars: 2,
 		C:       []float64{-1, -1},
 		A:       [][]float64{{1, 1}},
 		Ops:     []RelOp{LE},
 		B:       []float64{4},
 	})
-	got := SolveContext(context.Background(), &Problem{
+	got := Solve(live, &Problem{
 		NumVars: 2,
 		C:       []float64{-1, -1},
 		A:       [][]float64{{1, 1}},

@@ -79,18 +79,12 @@ func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(*node)) }
 func (q *nodeQueue) Pop() any          { old := *q; n := old[len(old)-1]; *q = old[:len(old)-1]; return n }
 
-// Solve runs branch and bound.
-func Solve(p *Problem, opts Options) Solution {
-	//lint:gecco-allow(ctxflow): convenience wrapper; SolveContext is the cancellable variant
-	return SolveContext(context.Background(), p, opts)
-}
-
-// SolveContext is Solve under a context: cancellation is checked once per
+// Solve runs branch and bound. Cancellation is checked once per
 // branch-and-bound node (and inside each LP subsolve), aborting the search
 // with Status Cancelled while keeping the best incumbent found so far. The
 // context deadline composes with Options.TimeLimit — whichever expires
 // first stops the search.
-func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
+func Solve(ctx context.Context, p *Problem, opts Options) Solution {
 	opts = opts.withDefaults()
 	nv := p.LP.NumVars
 	if len(p.Integer) != nv {
@@ -118,7 +112,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) Solution {
 		sub := p.LP
 		sub.Lower = lo
 		sub.Upper = hi
-		return lp.SolveContext(ctx, &sub)
+		return lp.Solve(ctx, &sub)
 	}
 
 	root := solveLP(baseLower, baseUpper)

@@ -1,162 +1,53 @@
 package service
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
+
+	"gecco/internal/lru"
 )
 
-// CacheStats aggregates hit/miss/eviction accounting across all shards.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-}
-
-// cacheShard is one independently locked LRU segment.
-type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-}
-
-type cacheEntry struct {
-	key   string
-	value *JobResult
-}
-
-// Cache is a sharded LRU keyed by request digest (log digest + canonical
-// constraint set + canonical config; see requestKey). Sharding by key hash
-// keeps lock contention bounded under concurrent serving: each lookup locks
-// only 1/numShards of the cache. Hit/miss/eviction counters are atomic and
-// exact.
+// Cache is the result LRU keyed by request digest (log digest + canonical
+// constraint set + canonical config; see requestKey). One mutex guards one
+// exact LRU: each lookup is a map probe, far below the rate at which a
+// single lock would contend.
 type Cache struct {
-	shards    []*cacheShard
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	mu  sync.Mutex
+	lru *lru.Cache[string, *JobResult]
 }
 
-const defaultCacheShards = 16
-
-// NewCache builds a cache holding up to capacity results split over
-// shards; capacity <= 0 disables caching (every Get misses). Shard
-// capacities sum to exactly the configured capacity (the remainder goes
-// one-each to the first shards), so /stats reports what the operator set.
+// NewCache builds a cache holding up to capacity results; capacity <= 0
+// disables caching (every Get misses).
 func NewCache(capacity int) *Cache {
-	n := defaultCacheShards
-	if capacity > 0 && capacity < n {
-		n = 1 // tiny caches keep exact LRU order in a single shard
-	}
-	c := &Cache{shards: make([]*cacheShard, n)}
-	for i := range c.shards {
-		per := 0
-		if capacity > 0 {
-			per = capacity / n
-			if i < capacity%n {
-				per++
-			}
-		}
-		c.shards[i] = &cacheShard{
-			cap:     per,
-			entries: make(map[string]*list.Element),
-			order:   list.New(),
-		}
-	}
-	return c
-}
-
-// shard picks the key's shard with an inlined FNV-1a over the key bytes —
-// no hasher allocation on the per-lookup hot path.
-func (c *Cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return c.shards[h%uint32(len(c.shards))]
+	return &Cache{lru: lru.New[string, *JobResult](capacity, nil)}
 }
 
 // Get returns the cached result for the key, bumping its recency.
 func (c *Cache) Get(key string) (*JobResult, bool) {
-	return c.get(key, true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Get(key)
 }
 
-// getQuiet is Get without touching the hit/miss counters, for the
-// service's under-lock recheck: the same logical request already counted
-// its miss on the lock-free first lookup.
+// getQuiet is Get without touching the hit/miss counters or recency, for
+// the service's under-lock recheck: the same logical request already
+// counted its miss on the lock-free first lookup.
 func (c *Cache) getQuiet(key string) (*JobResult, bool) {
-	return c.get(key, false)
-}
-
-func (c *Cache) get(key string, count bool) (*JobResult, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		if count {
-			c.misses.Add(1)
-		}
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	if count {
-		c.hits.Add(1)
-	}
-	return el.Value.(*cacheEntry).value, true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Peek(key)
 }
 
 // Put inserts or refreshes a result, evicting the least recently used entry
-// of the key's shard when that shard is full.
+// when the cache is full.
 func (c *Cache) Put(key string, v *JobResult) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cap <= 0 {
-		return
-	}
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).value = v
-		s.order.MoveToFront(el)
-		return
-	}
-	for s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		if oldest == nil {
-			break
-		}
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, value: v})
-}
-
-// Len reports the number of cached entries across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lru.Put(key, v)
 }
 
 // Stats snapshots the cache counters.
-func (c *Cache) Stats() CacheStats {
-	capTotal := 0
-	for _, s := range c.shards {
-		capTotal += s.cap
-	}
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-		Capacity:  capTotal,
-	}
+func (c *Cache) Stats() lru.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Stats()
 }

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestCacheEvictionOrderUnderPressure fills a single-shard cache far past
+// TestCacheEvictionOrderUnderPressure fills a cache far past
 // capacity and checks that exactly the least-recently-used entries fall out
 // at every step: survivors are the most recent `capacity` touched keys, in
 // recency order.
 func TestCacheEvictionOrderUnderPressure(t *testing.T) {
 	const capacity = 4
-	c := NewCache(capacity) // < defaultCacheShards, so one exact-LRU shard
+	c := NewCache(capacity)
 	touch := func(key string) {
 		if _, ok := c.Get(key); !ok {
 			c.Put(key, &JobResult{})
@@ -49,7 +49,7 @@ func TestCacheEvictionOrderUnderPressure(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentGetPut hammers all shards from many goroutines (run
+// TestCacheConcurrentGetPut hammers the cache from many goroutines (run
 // under -race via `make race`). Beyond the absence of data races, it checks
 // the invariants the service relies on: a Get never returns a value the key
 // was not Put under, and the entry count never exceeds capacity.

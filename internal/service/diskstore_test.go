@@ -102,7 +102,7 @@ func TestStoredResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(procgen.RunningExampleTable1(), mustSet(t, "distinct(role) <= 1"), core.Config{Mode: core.DFGUnbounded})
+	res, err := core.Run(context.Background(), procgen.RunningExampleTable1(), mustSet(t, "distinct(role) <= 1"), core.Config{Mode: core.DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if st.Sessions.MappedBytes <= 0 {
 		t.Fatalf("mapped bytes = %d, want > 0 for a warm-opened session", st.Sessions.MappedBytes)
 	}
-	cold, err := core.Run(log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), cfg)
+	cold, err := core.Run(context.Background(), log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
+	"gecco/internal/lru"
 	"gecco/internal/pipeline"
 )
 
@@ -180,77 +180,51 @@ type PipelineStats struct {
 // hit/miss counters kept per stage name for /stats.
 type stageCache struct {
 	mu       sync.Mutex
-	cap      int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	lru      *lru.Cache[string, *pipeline.State]
 	counters map[string]*StageCounters
-	evicted  int64
-}
-
-type stageItem struct {
-	key   string
-	state *pipeline.State
 }
 
 func newStageCache(capacity int) *stageCache {
 	return &stageCache{
-		cap:      capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
+		lru:      lru.New[string, *pipeline.State](capacity, nil),
 		counters: make(map[string]*StageCounters),
 	}
-}
-
-func (c *stageCache) counterLocked(stage string) *StageCounters {
-	ctr, ok := c.counters[stage]
-	if !ok {
-		ctr = &StageCounters{}
-		c.counters[stage] = ctr
-	}
-	return ctr
 }
 
 // Get implements pipeline.StageCache.
 func (c *stageCache) Get(stage, key string) (*pipeline.State, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctr := c.counterLocked(stage)
-	el, ok := c.entries[key]
+	ctr, ok := c.counters[stage]
 	if !ok {
-		ctr.Misses++
-		return nil, false
+		ctr = &StageCounters{}
+		c.counters[stage] = ctr
 	}
-	c.order.MoveToFront(el)
-	ctr.Hits++
-	return el.Value.(*stageItem).state, true
+	st, ok := c.lru.Get(key)
+	if ok {
+		ctr.Hits++
+	} else {
+		ctr.Misses++
+	}
+	return st, ok
 }
 
 // Put implements pipeline.StageCache.
 func (c *stageCache) Put(stage, key string, st *pipeline.State) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*stageItem).state = st
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&stageItem{key: key, state: st})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*stageItem).key)
-		c.evicted++
-	}
+	c.lru.Put(key, st)
 }
 
 // Stats snapshots the cache counters.
 func (c *stageCache) Stats() PipelineStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ls := c.lru.Stats()
 	st := PipelineStats{
-		Entries:   len(c.entries),
-		Capacity:  c.cap,
-		Evictions: c.evicted,
+		Entries:   ls.Entries,
+		Capacity:  ls.Capacity,
+		Evictions: ls.Evictions,
 		Stages:    make(map[string]StageCounters, len(c.counters)),
 	}
 	for name, ctr := range c.counters {

@@ -1,6 +1,6 @@
 // Package service is the serving layer over the GECCO pipeline: a job
-// manager running a bounded number of concurrent abstraction jobs, a
-// sharded LRU cache of results keyed by log digest + canonicalised
+// manager running a bounded number of concurrent abstraction jobs, an
+// LRU cache of results keyed by log digest + canonicalised
 // constraint set + config, and coalescing of identical in-flight requests
 // onto a single pipeline run.
 //
@@ -19,7 +19,7 @@
 // derived from the service's base context, a synchronous caller that goes
 // away (client disconnect, timeout) cancels the job when it was its last
 // waiter, and shutting the service down cancels everything mid-frontier
-// via core.RunContext.
+// via core.Run.
 package service
 
 import (
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,7 @@ import (
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
+	"gecco/internal/lru"
 )
 
 // JobResult is the pipeline outcome stored in the cache and on finished
@@ -281,7 +283,7 @@ type JobStats struct {
 
 // Stats is the /stats payload.
 type Stats struct {
-	Cache CacheStats `json:"cache"`
+	Cache lru.Stats `json:"cache"`
 	// Sessions reports the session-cache layer under the result cache: hits
 	// are jobs that reused a live per-log session (warm index and distance
 	// memo) instead of rebuilding it.
@@ -669,14 +671,22 @@ func (s *Service) run(ctx context.Context, job *Job, req Request) {
 // solve runs the pipeline, reusing (or admitting) a live session for the
 // log when the session cache is enabled. Session reuse never changes the
 // result — only the constraint-independent work a job pays for — so it is
-// safe for cacheable and non-cacheable requests alike.
-func (s *Service) solve(ctx context.Context, req Request, cfg core.Config) (*JobResult, error) {
+// safe for cacheable and non-cacheable requests alike. It runs on the job
+// goroutine, where an escaped panic would take the whole process down, so
+// a panic becomes the job's error, stack included: the job fails and the
+// service keeps serving.
+func (s *Service) solve(ctx context.Context, req Request, cfg core.Config) (res *JobResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("service: job panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
 	if s.sessions == nil {
 		log, err := req.log()
 		if err != nil {
 			return nil, err
 		}
-		return core.RunContext(ctx, log, req.Constraints, cfg)
+		return core.Run(ctx, log, req.Constraints, cfg)
 	}
 	sess, err := s.sessions.getOrCreate(req.logDigest(), req.log)
 	if err != nil {

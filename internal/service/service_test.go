@@ -3,14 +3,16 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gecco/internal/bitset"
 	"gecco/internal/candidates"
 	"gecco/internal/constraints"
 	"gecco/internal/core"
+	"gecco/internal/dfg"
 	"gecco/internal/eventlog"
 	"gecco/internal/procgen"
 )
@@ -424,7 +426,7 @@ func TestAbandonedJobLeavesInflightTable(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2) // capacity < shard count collapses to one exact-LRU shard
+	c := NewCache(2)
 	a := &JobResult{Distance: 1}
 	b := &JobResult{Distance: 2}
 	d := &JobResult{Distance: 3}
@@ -449,31 +451,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// Shard capacities must sum to exactly the configured capacity, whatever
-// the rounding.
+// Stats must report exactly the configured capacity.
 func TestCacheCapacityExact(t *testing.T) {
 	for _, capacity := range []int{2, 16, 20, 100, 256, 1000} {
 		if got := NewCache(capacity).Stats().Capacity; got != capacity {
 			t.Fatalf("NewCache(%d) capacity = %d", capacity, got)
-		}
-	}
-}
-
-func TestCacheSharding(t *testing.T) {
-	c := NewCache(1024)
-	if len(c.shards) != defaultCacheShards {
-		t.Fatalf("shards = %d, want %d", len(c.shards), defaultCacheShards)
-	}
-	for i := 0; i < 500; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), &JobResult{Distance: float64(i)})
-	}
-	for i := 0; i < 500; i++ {
-		v, ok := c.Get(fmt.Sprintf("key-%d", i))
-		if !ok {
-			t.Fatalf("key-%d missing (capacity 1024, stored 500)", i)
-		}
-		if v.Distance != float64(i) {
-			t.Fatalf("key-%d holds %v", i, v.Distance)
 		}
 	}
 }
@@ -528,5 +510,27 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 	}
 	if got.State != StateCancelled {
 		t.Fatalf("job state after Close = %s, want cancelled", got.State)
+	}
+}
+
+// A panic inside a solve runs on the job goroutine, where an escaped panic
+// would kill the whole process: it must fail only its own job, with the
+// stack in the error, and leave the service serving.
+func TestJobPanicFailsOnlyTheJob(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	req := roleRequest(t)
+	req.Config.CustomCandidates = func(*eventlog.Index, *dfg.Graph) ([]bitset.Set, error) {
+		panic("candidate generator exploded")
+	}
+	_, _, err := svc.Do(context.Background(), req)
+	if err == nil || !strings.Contains(err.Error(), "candidate generator exploded") || !strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("err = %v, want the panic value and its stack", err)
+	}
+	if got := svc.Stats().Jobs.Failed; got != 1 {
+		t.Fatalf("failed jobs = %d, want 1", got)
+	}
+	if _, _, err := svc.Do(context.Background(), roleRequest(t)); err != nil {
+		t.Fatalf("request after the panic: %v", err)
 	}
 }

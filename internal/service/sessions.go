@@ -1,24 +1,20 @@
 package service
 
 import (
-	"container/list"
 	"errors"
 	"sort"
 	"sync"
 
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
+	"gecco/internal/lru"
 )
 
 // SessionStats aggregates the session cache's counters for /stats. A hit
 // means a request on a known log skipped parsing-independent analysis
 // (indexing, DFG construction) and started with a warm distance memo.
 type SessionStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
+	lru.Stats
 	// IndexBytes is the summed estimated heap footprint the live sessions
 	// pin: each session's columnar index (class arenas, attribute columns,
 	// dictionaries, bitsets) plus, for sessions that have served an
@@ -40,7 +36,6 @@ type SessionStats struct {
 // session under the same mutex) and before closing done, so latecomers that
 // return from the receive see a consistent pair.
 type sessionEntry struct {
-	digest  string
 	done    chan struct{}
 	session *core.Session
 	err     error
@@ -49,18 +44,11 @@ type sessionEntry struct {
 // sessionCache is an LRU of live core.Sessions keyed by log digest. It sits
 // *under* the result cache: a result hit never reaches it, a result miss on
 // a known log reuses the session's frozen artifacts and warm distance memo.
-// Unlike the sharded result cache it is a single-segment LRU — entries are
-// few (each pins a parsed log, its index, and its memos) and lookups are
-// amortised by a full pipeline run, so exact LRU order beats shard-level
-// concurrency here.
+// Eviction — by capacity or by drop — spills the entry's index to the warm
+// tier.
 type sessionCache struct {
-	mu        sync.Mutex
-	cap       int
-	entries   map[string]*list.Element
-	order     *list.List // front = most recently used
-	hits      int64
-	misses    int64
-	evictions int64
+	mu  sync.Mutex
+	lru *lru.Cache[string, *sessionEntry]
 	// store, when non-nil, is the warm tier: evicted sessions spill their
 	// index to disk, and misses try OpenIndex before re-parsing. Evicted
 	// indexes are never explicitly Closed — in-flight jobs may still hold the
@@ -70,12 +58,9 @@ type sessionCache struct {
 }
 
 func newSessionCache(capacity int, store *diskStore) *sessionCache {
-	return &sessionCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-		store:   store,
-	}
+	c := &sessionCache{store: store}
+	c.lru = lru.New(capacity, c.spillLocked)
+	return c
 }
 
 // getOrCreate returns the live session for the log digest, building and
@@ -127,39 +112,27 @@ func (c *sessionCache) getOrCreateIndex(key string, x *eventlog.Index) (*core.Se
 // request retries.
 func (c *sessionCache) getOrCreateFrom(digest string, mk func() (*core.Session, error)) (*core.Session, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[digest]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*sessionEntry)
+	if e, ok := c.lru.Get(digest); ok {
 		c.mu.Unlock()
 		<-e.done // wait for an in-flight first build
 		return e.session, e.err
 	}
-	c.misses++
-	e := &sessionEntry{digest: digest, done: make(chan struct{})}
-	c.entries[digest] = c.order.PushFront(e)
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		old := oldest.Value.(*sessionEntry)
-		delete(c.entries, old.digest)
-		c.evictions++
-		c.spillLocked(old)
-	}
+	e := &sessionEntry{done: make(chan struct{})}
+	c.lru.Put(digest, e)
 	c.mu.Unlock()
 
 	return c.build(e, digest, mk)
 }
 
-// spillLocked hands an evicted entry's index to the warm tier, so the next
-// request for the log costs an OpenIndex instead of a re-parse. Called with
-// c.mu held (session is published under it); the write itself runs on a
-// store goroutine. Entries still building (session nil) have nothing to
-// spill — their build survives eviction and publishes to latecomers, it is
-// just not re-admitted.
-func (c *sessionCache) spillLocked(e *sessionEntry) {
+// spillLocked is the LRU's eviction hook: it hands an evicted entry's index
+// to the warm tier, so the next request for the log costs an OpenIndex
+// instead of a re-parse. Called with c.mu held (session is published under
+// it); the write itself runs on a store goroutine. Entries still building
+// (session nil) have nothing to spill — their build survives eviction and
+// publishes to latecomers, it is just not re-admitted.
+func (c *sessionCache) spillLocked(digest string, e *sessionEntry) {
 	if c.store != nil && e.session != nil {
-		c.store.spillIndexAsync(e.digest, e.session.Index())
+		c.store.spillIndexAsync(digest, e.session.Index())
 	}
 }
 
@@ -184,9 +157,8 @@ func (c *sessionCache) build(e *sessionEntry, digest string, mk func() (*core.Se
 		c.mu.Lock()
 		e.session, e.err = sess, err
 		if err != nil {
-			if el, ok := c.entries[digest]; ok && el.Value.(*sessionEntry) == e {
-				c.order.Remove(el)
-				delete(c.entries, digest)
+			if cur, ok := c.lru.Peek(digest); ok && cur == e {
+				c.lru.Remove(digest)
 			}
 		}
 		c.mu.Unlock()
@@ -204,14 +176,11 @@ func (c *sessionCache) build(e *sessionEntry, digest string, mk func() (*core.Se
 // and is not.
 func (c *sessionCache) peek(digest string) (*core.Session, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[digest]
-	if !ok {
+	if _, ok := c.lru.Peek(digest); !ok {
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	c.hits++
-	e := el.Value.(*sessionEntry)
+	e, _ := c.lru.Get(digest)
 	c.mu.Unlock()
 	<-e.done // wait for an in-flight first build
 	if e.err != nil || e.session == nil {
@@ -227,16 +196,11 @@ func (c *sessionCache) peek(digest string) (*core.Session, bool) {
 func (c *sessionCache) drop(digest string, sess *core.Session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[digest]
-	if !ok || el.Value.(*sessionEntry).session != sess {
-		return
+	// A retired session's index is unchanged (only its memo grew), so the
+	// eviction hook's spill still warms the next rebuild.
+	if e, ok := c.lru.Peek(digest); ok && e.session == sess {
+		c.lru.Evict(digest)
 	}
-	c.order.Remove(el)
-	delete(c.entries, digest)
-	c.evictions++
-	// A retired session's index is unchanged (only its memo grew), so it
-	// still warms the next rebuild.
-	c.spillLocked(el.Value.(*sessionEntry))
 }
 
 // spillAll writes every live session's index to the warm tier. Called on
@@ -246,17 +210,21 @@ func (c *sessionCache) spillAll() {
 	if c.store == nil {
 		return
 	}
-	c.mu.Lock()
-	sessions := make([]*sessionEntry, 0, len(c.entries))
-	for _, el := range c.entries {
-		if e := el.Value.(*sessionEntry); e.session != nil {
-			sessions = append(sessions, e)
-		}
+	type live struct {
+		digest string
+		x      *eventlog.Index
 	}
+	var sessions []live
+	c.mu.Lock()
+	c.lru.Each(func(digest string, e *sessionEntry) {
+		if e.session != nil {
+			sessions = append(sessions, live{digest, e.session.Index()})
+		}
+	})
 	c.mu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].digest < sessions[j].digest })
-	for _, e := range sessions {
-		c.store.spillIndex(e.digest, e.session.Index())
+	for _, s := range sessions {
+		c.store.spillIndex(s.digest, s.x)
 	}
 }
 
@@ -266,18 +234,12 @@ func (c *sessionCache) spillAll() {
 func (c *sessionCache) Stats() SessionStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := SessionStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Capacity:  c.cap,
-	}
-	for _, el := range c.entries {
-		if e := el.Value.(*sessionEntry); e.session != nil {
+	st := SessionStats{Stats: c.lru.Stats()}
+	c.lru.Each(func(_ string, e *sessionEntry) {
+		if e.session != nil {
 			st.IndexBytes += e.session.EstimatedBytes()
 			st.MappedBytes += e.session.MappedBytes()
 		}
-	}
+	})
 	return st
 }

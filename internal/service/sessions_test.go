@@ -64,7 +64,7 @@ func TestSessionReuseAcrossConstraintSets(t *testing.T) {
 	}
 
 	// The warm-session result must be identical to a cold one-shot run.
-	cold, err := core.Run(log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), core.Config{Mode: core.DFGUnbounded})
+	cold, err := core.Run(context.Background(), log, mustSet(t, "distinct(role) <= 1\n|g| <= 2"), core.Config{Mode: core.DFGUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package service
 import (
 	"reflect"
 	"testing"
+
+	"gecco/internal/lru"
 )
 
 // sampleStats builds distinct, fully populated Stats values (plus sparse
@@ -11,8 +13,8 @@ import (
 func sampleStats() []Stats {
 	full := func(seed int64) Stats {
 		var s Stats
-		s.Cache = CacheStats{Hits: seed, Misses: seed + 1, Evictions: seed + 2, Entries: int(seed % 7), Capacity: 64}
-		s.Sessions = SessionStats{Hits: seed * 3, Misses: seed, Evictions: 1, Entries: 2, Capacity: 8, IndexBytes: seed * 1000, MappedBytes: seed * 10}
+		s.Cache = lru.Stats{Hits: seed, Misses: seed + 1, Evictions: seed + 2, Entries: int(seed % 7), Capacity: 64}
+		s.Sessions = SessionStats{Stats: lru.Stats{Hits: seed * 3, Misses: seed, Evictions: 1, Entries: 2, Capacity: 8}, IndexBytes: seed * 1000, MappedBytes: seed * 10}
 		s.Streams = StreamStats{Live: 1, Capacity: 16, Created: seed, Closed: seed / 2, Evicted: 0, Traces: seed * 5, Regroupings: seed / 3, Drifts: 1}
 		s.Jobs = JobStats{Started: seed * 2, Completed: seed*2 - 1, Failed: 0, Cancelled: 1, Coalesced: seed / 4, Running: 1, Queued: int(seed % 3)}
 		s.Pipeline = PipelineStats{

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/eventlog"
+	"gecco/internal/lru"
 	"gecco/internal/stream"
 )
 
@@ -116,15 +116,12 @@ func (st *liveStream) snapshot() StreamSnapshot {
 // never registered: they live for one request and are retired when it
 // ends.
 type streamManager struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	closed  bool
+	mu     sync.Mutex
+	lru    *lru.Cache[string, *liveStream]
+	closed bool
 
 	created int64
 	closedN int64
-	evicted int64
 	// totals accumulate per push across every stream this manager ever
 	// served (live, evicted, or closed — work done on a stream evicted
 	// mid-request still counts), so /stats totals are monotonic.
@@ -132,11 +129,7 @@ type streamManager struct {
 }
 
 func newStreamManager(capacity int) *streamManager {
-	return &streamManager{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-	}
+	return &streamManager{lru: lru.New[string, *liveStream](capacity, nil)}
 }
 
 // ensure returns the named live stream, creating it with build() when
@@ -150,10 +143,9 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 		return nil, false, ErrClosed
 	}
 	if name != "" {
-		if el, ok := m.entries[name]; ok {
-			m.order.MoveToFront(el)
+		if st, ok := m.lru.Get(name); ok {
 			m.mu.Unlock()
-			return el.Value.(*liveStream), false, nil
+			return st, false, nil
 		}
 	}
 	st, err = build()
@@ -164,13 +156,7 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 	st.totals = &m.totals
 	m.created++
 	if name != "" {
-		m.entries[name] = m.order.PushFront(st)
-		for m.order.Len() > m.cap {
-			oldest := m.order.Back()
-			m.order.Remove(oldest)
-			delete(m.entries, oldest.Value.(*liveStream).name)
-			m.evicted++
-		}
+		m.lru.Put(name, st)
 	}
 	m.mu.Unlock()
 	return st, true, nil
@@ -180,27 +166,18 @@ func (m *streamManager) ensure(name string, build func() (*liveStream, error)) (
 func (m *streamManager) get(name string) (*liveStream, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[name]
-	if !ok {
-		return nil, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*liveStream), true
+	return m.lru.Get(name)
 }
 
 // close removes a registered stream; its state is dropped.
 func (m *streamManager) close(name string) (*liveStream, bool) {
 	m.mu.Lock()
-	el, ok := m.entries[name]
-	if !ok {
-		m.mu.Unlock()
-		return nil, false
+	defer m.mu.Unlock()
+	st, ok := m.lru.Remove(name)
+	if ok {
+		m.closedN++
 	}
-	m.order.Remove(el)
-	delete(m.entries, name)
-	m.closedN++
-	m.mu.Unlock()
-	return el.Value.(*liveStream), true
+	return st, ok
 }
 
 // retireAnonymous counts a one-request stream's end as a close.
@@ -215,9 +192,8 @@ func (m *streamManager) retireAnonymous(*liveStream) {
 func (m *streamManager) closeAll() {
 	m.mu.Lock()
 	m.closed = true
-	m.closedN += int64(m.order.Len())
-	m.entries = make(map[string]*list.Element)
-	m.order.Init()
+	m.closedN += int64(m.lru.Len())
+	m.lru.Clear()
 	m.mu.Unlock()
 }
 
@@ -225,12 +201,13 @@ func (m *streamManager) closeAll() {
 func (m *streamManager) Stats() StreamStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	ls := m.lru.Stats()
 	return StreamStats{
-		Live:        m.order.Len(),
-		Capacity:    m.cap,
+		Live:        ls.Entries,
+		Capacity:    ls.Capacity,
 		Created:     m.created,
 		Closed:      m.closedN,
-		Evicted:     m.evicted,
+		Evicted:     ls.Evictions,
 		Traces:      m.totals.traces.Load(),
 		Regroupings: m.totals.regroupings.Load(),
 		Drifts:      m.totals.drifts.Load(),
@@ -276,7 +253,7 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 	if sess, ok := s.peekSession(req.logDigest()); ok {
 		res, err = sess.Solve(ctx, set, cfg)
 	} else {
-		res, err = core.RunContext(ctx, window, set, cfg)
+		res, err = core.Run(ctx, window, set, cfg)
 	}
 	if err == nil && key != "" {
 		s.cache.Put(key, res)

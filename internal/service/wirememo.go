@@ -10,10 +10,11 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+
+	"gecco/internal/lru"
 )
 
 // wireMemoCapacity bounds the memo. Entries are two hex digests (~130
@@ -21,15 +22,12 @@ import (
 const wireMemoCapacity = 1024
 
 type wireMemo struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	mu  sync.Mutex
+	lru *lru.Cache[string, string] // raw upload hash -> log digest
 }
 
-type wireEntry struct{ raw, digest string }
-
 func newWireMemo() *wireMemo {
-	return &wireMemo{entries: make(map[string]*list.Element), order: list.New()}
+	return &wireMemo{lru: lru.New[string, string](wireMemoCapacity, nil)}
 }
 
 // wireKey hashes an upload's raw bytes together with its wire format: the
@@ -45,26 +43,11 @@ func wireKey(format, text string) string {
 func (m *wireMemo) get(raw string) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.entries[raw]
-	if !ok {
-		return "", false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*wireEntry).digest, true
+	return m.lru.Get(raw)
 }
 
 func (m *wireMemo) put(raw, digest string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.entries[raw]; ok {
-		m.order.MoveToFront(el)
-		el.Value.(*wireEntry).digest = digest
-		return
-	}
-	m.entries[raw] = m.order.PushFront(&wireEntry{raw: raw, digest: digest})
-	for len(m.entries) > wireMemoCapacity {
-		last := m.order.Back()
-		m.order.Remove(last)
-		delete(m.entries, last.Value.(*wireEntry).raw)
-	}
+	m.lru.Put(raw, digest)
 }

@@ -82,7 +82,7 @@ func TestSuggestionsAreRunnable(t *testing.T) {
 			continue
 		}
 		set := constraints.NewSet(s.Constraint)
-		res, err := core.Run(log, set, core.Config{Mode: core.DFGUnbounded})
+		res, err := core.Run(context.Background(), log, set, core.Config{Mode: core.DFGUnbounded})
 		if err != nil {
 			t.Errorf("suggestion %q failed to run: %v", s.Constraint, err)
 			continue
