@@ -35,7 +35,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/par/ ./internal/candidates/ ./internal/distance/ ./internal/constraints/ ./internal/core/ ./internal/service/ ./internal/shard/ ./internal/stream/ ./internal/eventlog/ ./internal/experiments/ .
+	$(GO) test -race ./internal/par/ ./internal/candidates/ ./internal/distance/ ./internal/constraints/ ./internal/core/ ./internal/pipeline/ ./internal/service/ ./internal/shard/ ./internal/stream/ ./internal/eventlog/ ./internal/experiments/ .
 
 vet:
 	$(GO) vet ./...
@@ -91,11 +91,14 @@ shard-bench:
 	$(GO) run ./cmd/gecco-bench -table none -shard-bench
 
 # Build and smoke-run every example program, so example drift fails CI
-# instead of rotting silently.
+# instead of rotting silently. Each run (not its build) is capped at 300 s,
+# so a runaway example fails fast and by name instead of exhausting the
+# runner's memory.
 examples:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; \
-		$(GO) run ./$$d > /dev/null; \
+		$(GO) run -exec 'timeout 300' ./$$d > /dev/null || { \
+			echo "example $$d failed or ran past 300 s" >&2; exit 1; }; \
 	done
 
 serve:

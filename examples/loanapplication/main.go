@@ -36,8 +36,15 @@ func main() {
 	}
 
 	// §VI-D's closing observation: without the constraint, activities mix
-	// events from all three systems, obscuring the inter-system flow.
-	free, err := gecco.Abstract(log, "|g| <= 8", gecco.Config{Mode: gecco.ModeDFGUnbounded})
+	// events from all three systems, obscuring the inter-system flow. With
+	// only |g| <= 8 nothing prunes DFG-inf's path enumeration, whose
+	// memory grows with every group it assesses (past 4.5 GB within
+	// minutes), so this run is capped by a check budget: the best cover
+	// of the candidates found so far is enough to show the mixing.
+	const freeChecks = 50000
+	freeCfg := gecco.Config{Mode: gecco.ModeDFGUnbounded}
+	freeCfg.Budget.MaxChecks = freeChecks
+	free, err := gecco.Abstract(log, "|g| <= 8", freeCfg)
 	if err != nil {
 		panic(err)
 	}
@@ -52,8 +59,8 @@ func main() {
 				mixed++
 			}
 		}
-		fmt.Printf("\nwithout the constraint: %d of %d activities mix origin systems\n",
-			mixed, len(free.GroupClasses))
+		fmt.Printf("\nwithout the constraint (candidate search capped at %d checks): %d of %d activities mix origin systems\n",
+			freeChecks, mixed, len(free.GroupClasses))
 	}
 
 	fmt.Println("\nFigure 1 (original 80/20 DFG, DOT):")

@@ -17,8 +17,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
+	"runtime/debug"
 	"time"
 
 	"gecco/internal/conformance"
@@ -32,6 +34,11 @@ import (
 // Version is folded into every base key so that engine changes that alter
 // stage outputs invalidate cached states instead of replaying them.
 const Version = "gecco-pipeline-v1"
+
+// ErrInvalid marks a stage list that cannot run against its base state: an
+// empty list, a base with no log, or a stage whose needs no base artifact or
+// earlier stage provides. Hosts map it to a client error.
+var ErrInvalid = errors.New("pipeline: invalid stage list")
 
 // Artifact names a typed value a stage consumes or produces. The engine
 // validates before running that every stage's needs are met by the base
@@ -153,6 +160,12 @@ type Env struct {
 	StoreAbstract  func(indexKey string, set *constraints.Set, cfg core.Config, res *core.Result)
 	// Cache is the per-stage state cache; nil disables stage caching.
 	Cache StageCache
+	// LoadIndex, when non-nil, supplies the base state's working index on
+	// demand: Run then accepts a base state whose Index is nil and calls
+	// the hook only when a stage must execute without an index in hand —
+	// which can only be stage 0, since every cached state carries one. A
+	// fully cached run therefore never materialises the base log at all.
+	LoadIndex func() (*eventlog.Index, error)
 }
 
 // StageResult reports one stage of a run.
@@ -173,19 +186,27 @@ type Result struct {
 }
 
 // Validate checks that every stage's needs are satisfied by the base state
-// or an earlier stage's provides, without running anything.
+// or an earlier stage's provides, without running anything. Failures wrap
+// ErrInvalid.
 func Validate(stages []Stage, base *State) error {
+	return validate(stages, base, false)
+}
+
+// validate is Validate with lazyLog marking the log as present although
+// base.Index is still nil (Env.LoadIndex will supply it).
+func validate(stages []Stage, base *State, lazyLog bool) error {
 	if len(stages) == 0 {
-		return fmt.Errorf("pipeline: no stages")
+		return fmt.Errorf("%w: no stages", ErrInvalid)
 	}
 	have := map[Artifact]bool{}
 	for _, a := range []Artifact{ArtifactLog, ArtifactConstraints, ArtifactAbstraction, ArtifactModel, ArtifactConformance} {
 		have[a] = base.has(a)
 	}
+	have[ArtifactLog] = have[ArtifactLog] || lazyLog
 	for i, st := range stages {
 		for _, need := range st.Needs() {
 			if !have[need] {
-				return fmt.Errorf("pipeline: stage %d (%s) needs %q, which no earlier stage provides (add one, or supply it with the request)", i, st.Name(), need)
+				return fmt.Errorf("%w: stage %d (%s) needs %q, which no earlier stage provides (add one, or supply it with the request)", ErrInvalid, i, st.Name(), need)
 			}
 		}
 		for _, p := range st.Provides() {
@@ -229,14 +250,18 @@ func writeStr(h hash.Hash, s string) {
 // may be nil. On a stage cache hit the cached state is adopted and the
 // stage is not executed — because keys chain, a hit guarantees every
 // upstream artifact is byte-identical to what a fresh run would produce.
+// The base state may lack its Index when env.LoadIndex is set (see there).
+// Validation failures wrap ErrInvalid; a panicking stage fails the run with
+// an error carrying the panic value and stack instead of unwinding the
+// caller.
 func Run(ctx context.Context, stages []Stage, base *State, baseKey string, env *Env) (*Result, error) {
 	if env == nil {
 		env = &Env{}
 	}
-	if base == nil || base.Index == nil {
-		return nil, fmt.Errorf("pipeline: base state has no log")
+	if base == nil || (base.Index == nil && env.LoadIndex == nil) {
+		return nil, fmt.Errorf("%w: base state has no log", ErrInvalid)
 	}
-	if err := Validate(stages, base); err != nil {
+	if err := validate(stages, base, env.LoadIndex != nil); err != nil {
 		return nil, err
 	}
 	res := &Result{State: base, Stages: make([]StageResult, 0, len(stages))}
@@ -254,7 +279,7 @@ func Run(ctx context.Context, stages []Stage, base *State, baseKey string, env *
 			}
 		}
 		t0 := time.Now()
-		next, err := st.Run(ctx, env, res.State)
+		next, err := execute(ctx, st, env, res.State)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), err)
 		}
@@ -265,4 +290,26 @@ func Run(ctx context.Context, stages []Stage, base *State, baseKey string, env *
 		}
 	}
 	return res, nil
+}
+
+// execute runs one cache-missing stage, first loading the working index
+// through env.LoadIndex when the state in hand has none. A panic in the
+// load or the stage becomes an error carrying the stack, so one bad stage
+// fails its run instead of the host process.
+func execute(ctx context.Context, st Stage, env *Env, in *State) (out *State, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	if in.Index == nil {
+		x, err := env.LoadIndex()
+		if err != nil {
+			return nil, fmt.Errorf("loading log: %w", err)
+		}
+		withIndex := *in
+		withIndex.Index = x
+		in = &withIndex
+	}
+	return st.Run(ctx, env, in)
 }

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"gecco/internal/constraints"
@@ -61,6 +63,11 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Validate(nil, base); err == nil {
 		t.Fatal("empty pipeline should not validate")
+	}
+	// Run surfaces validation failures as ErrInvalid, naming the stage.
+	_, err := Run(bg, []Stage{ConformStage{}}, base, BaseKey("d", ""), nil)
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "(conform) needs") {
+		t.Fatalf("Run of conform without a model: %v, want ErrInvalid naming the stage", err)
 	}
 }
 
@@ -258,5 +265,109 @@ func TestRunCancellation(t *testing.T) {
 	_, err := Run(ctx, stages, baseState(t), BaseKey("d", ""), nil)
 	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("cancelled run returned %v", err)
+	}
+}
+
+// lazyEnv is an Env whose base index comes from a counting LoadIndex hook.
+func lazyEnv(cache StageCache, calls *int) *Env {
+	return &Env{Cache: cache, LoadIndex: func() (*eventlog.Index, error) {
+		*calls++
+		return eventlog.NewIndex(procgen.RunningExampleTable1()), nil
+	}}
+}
+
+// A base state without an index is valid under a LoadIndex hook, and the
+// hook runs only when a stage must execute with no index in hand: once
+// when stage 0 misses, never when stage 0 hits.
+func TestLoadIndexOnlyOnStageZeroMiss(t *testing.T) {
+	stages, err := BuildStages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := BaseKey("test-log", "")
+	eager, err := Run(bg, stages, baseState(t), key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := newMapCache()
+	calls := 0
+	lazy := func() *State { return &State{IndexKey: "test-log"} }
+	res, err := Run(bg, stages, lazy(), key, lazyEnv(cache, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("stage 0 missed: LoadIndex called %d times, want 1", calls)
+	}
+	for i, st := range res.Stages {
+		if st.Cached || st.Key != eager.Stages[i].Key {
+			t.Fatalf("lazy stage %s: cached=%t key=%s, want a fresh run keyed %s", st.Stage, st.Cached, st.Key, eager.Stages[i].Key)
+		}
+	}
+	if res.State.Index == nil {
+		t.Fatal("lazily loaded index missing from the final state")
+	}
+	if got, want := res.State.Conformance.Fitness, eager.State.Conformance.Fitness; got != want {
+		t.Fatalf("lazy fitness %v, eager %v", got, want)
+	}
+
+	// Stage 0 hits: the whole run is served without the hook, also when a
+	// later stage misses (the adopted state carries its index).
+	tail := []Stage{stages[0], stages[1], stages[2], ConformStage{Details: true}}
+	for _, run := range [][]Stage{stages, tail} {
+		res, err := Run(bg, run, lazy(), key, lazyEnv(cache, &calls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stages[0].Cached {
+			t.Fatal("stage 0 missed on a re-run")
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("stage 0 hit: LoadIndex called %d more times, want 0", calls-1)
+	}
+
+	// Without the hook an index-less base is invalid.
+	if _, err := Run(bg, stages, lazy(), key, nil); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("index-less base without LoadIndex: %v, want ErrInvalid", err)
+	}
+}
+
+// A panicking stage fails its run with an error carrying the panic value
+// and the stack, concurrent runs each fail the same way, and the engine
+// keeps serving afterwards.
+func TestRunRecoversStagePanic(t *testing.T) {
+	boom := NewFuncStage("boom", "v1", []Artifact{ArtifactLog}, []Artifact{ArtifactModel},
+		func(ctx context.Context, env *Env, in *State) (*State, error) {
+			panic("stage exploded")
+		})
+	stages := []Stage{SuggestStage{}, boom, ConformStage{}}
+	base := baseState(t)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = Run(bg, stages, base, BaseKey("d", ""), nil)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("run %d: panicking stage returned no error", i)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "stage boom: panicked: stage exploded") || !strings.Contains(msg, "goroutine ") {
+			t.Fatalf("run %d: error lacks the panic value or stack: %v", i, err)
+		}
+		if errors.Is(err, ErrInvalid) {
+			t.Fatalf("run %d: a panic is not an invalid request", i)
+		}
+	}
+	stages[1] = DiscoverStage{}
+	if _, err := Run(bg, stages, base, BaseKey("d", ""), nil); err != nil {
+		t.Fatalf("run after a panic: %v", err)
 	}
 }

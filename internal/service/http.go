@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gecco/internal/abstraction"
@@ -17,7 +16,6 @@ import (
 	"gecco/internal/constraints"
 	"gecco/internal/core"
 	"gecco/internal/csvlog"
-	"gecco/internal/eventlog"
 	"gecco/internal/instances"
 	"gecco/internal/xes"
 )
@@ -211,29 +209,7 @@ func handleAbstract(s *Service, w http.ResponseWriter, r *http.Request) {
 	// waiter cancels the pipeline mid-frontier.
 	res, meta, err := s.Do(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrInvalidRequest) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if r.Context().Err() != nil {
-				// The client went away: 499 is nginx's "client closed
-				// request"; the response is unlikely to be seen, but logs
-				// and tests observe the status.
-				status = 499
-			} else {
-				// Server-side cancellation (admin cancel of a coalesced
-				// job, shutdown) while the client is still connected.
-				status = http.StatusServiceUnavailable
-			}
-		}
-		writeError(w, status, err)
+		writeRunError(w, r, err)
 		return
 	}
 	resp, err := buildResponse(res, format, env.OmitAbstracted)
@@ -435,48 +411,11 @@ func decodeAbstractRequest(r *http.Request) (*AbstractRequest, error) {
 }
 
 // buildRequest parses the envelope into a service request plus the format
-// to serialise the response log in. The log itself parses lazily behind
-// the service's wire-digest memo: when a byte-identical upload has been
-// parsed before, the request carries only its canonical digest and a
-// loader, so a result-cache hit — or a live/warm-opened session — never
-// re-reads the XES/CSV at all. Parse errors on that path are impossible
-// by construction: the memo is only populated after a successful parse,
-// and parsing is deterministic.
+// to serialise the response log in. The log itself goes through
+// decodeUpload, after every cheaper check: a byte-identical upload seen
+// before carries only its canonical digest and a loader, so a result-cache
+// hit — or a live/warm-opened session — never re-reads the XES/CSV at all.
 func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
-	format := strings.ToLower(env.Format)
-	if format == "" {
-		if strings.HasPrefix(strings.TrimSpace(env.Log), "<") {
-			format = "xes"
-		} else {
-			format = "csv"
-		}
-	}
-	if format != "xes" && format != "csv" {
-		return Request{}, "", fmt.Errorf("unknown format %q (want xes or csv)", env.Format)
-	}
-	// One parse-once loader shared by every per-set copy of a batch
-	// request: whichever copy needs the events first pays the parse, the
-	// rest reuse it.
-	var (
-		parseOnce sync.Once
-		parsed    *eventlog.Log
-		parseErr  error
-	)
-	text := env.Log
-	load := func() (*eventlog.Log, error) {
-		//lint:gecco-allow(oncesafe): a fresh Once per request is the point — every per-set copy of this one request shares the closure (and so this Once); single-flight across requests is the wire memo's job, not this loader's
-		parseOnce.Do(func() {
-			if format == "xes" {
-				parsed, parseErr = xes.Read(strings.NewReader(text))
-			} else {
-				parsed, parseErr = csvlog.Read(strings.NewReader(text), csvlog.Options{})
-			}
-			if parseErr != nil {
-				parseErr = fmt.Errorf("parsing %s log: %w", format, parseErr)
-			}
-		})
-		return parsed, parseErr
-	}
 	set, err := constraints.ParseSet(env.Constraints)
 	if err != nil {
 		return Request{}, "", fmt.Errorf("parsing constraints: %w", err)
@@ -516,23 +455,11 @@ func buildRequest(s *Service, env *AbstractRequest) (Request, string, error) {
 	default:
 		return Request{}, "", fmt.Errorf("unknown solver %q (want bb or mip)", env.Solver)
 	}
-	req := Request{Constraints: set, Config: cfg, Tag: format, loadLog: load}
-	wk := wireKey(format, text)
-	if d, ok := s.wire.get(wk); ok {
-		req.digest = d
-		return req, format, nil
-	}
-	log, err := load()
+	up, format, err := s.decodeUpload(env.Format, env.Log)
 	if err != nil {
 		return Request{}, "", err
 	}
-	req.Log = log
-	// Empty logs are rejected by validation, so memoising one would let a
-	// later byte-identical upload dodge that check via the lazy path.
-	if len(log.Traces) > 0 {
-		s.wire.put(wk, req.logDigest())
-	}
-	return req, format, nil
+	return Request{upload: up, Constraints: set, Config: cfg, Tag: format}, format, nil
 }
 
 // parseMode maps the wire spelling of a candidate mode onto core.Mode.
@@ -591,4 +518,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// writeRunError maps a failed synchronous run (/abstract, /pipeline) to its
+// status: 400 invalid request, 503 busy or closed, 500 otherwise.
+func writeRunError(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, ErrInvalidRequest):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The client went away: 499 is nginx's "client closed request";
+		// the response is unlikely to be seen, but logs and tests observe
+		// it. Otherwise the server cancelled (admin cancel of a coalesced
+		// job, shutdown) while the client is still connected.
+		status = http.StatusServiceUnavailable
+		if r.Context().Err() != nil {
+			status = 499
+		}
+	}
+	writeError(w, status, err)
 }

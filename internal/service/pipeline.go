@@ -4,10 +4,13 @@
 // re-run with a changed tail stage adopts every unchanged upstream state),
 // the shared result cache + disk tier for the abstract stage, and the
 // session LRU for solver state on the (possibly filtered) working log.
+// Uploads share /abstract's wire memo and lazy loader (decodeUpload), so a
+// re-run whose first stage hits never parses, digests or indexes the log.
 package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -18,12 +21,13 @@ import (
 	"gecco/internal/pipeline"
 )
 
-// PipelineRequest is one staged run: a raw log, optional user constraints,
-// and a stage list (empty = the default suggest→abstract→discover→conform).
+// PipelineRequest is one staged run: an uploaded log, optional user
+// constraints, and a built stage list (pipeline.BuildStages; an empty spec
+// list builds the default suggest→abstract→discover→conform).
 type PipelineRequest struct {
-	Log         *eventlog.Log
+	upload
 	Constraints *constraints.Set // nil or empty lets a suggest stage supply them
-	Stages      []pipeline.StageSpec
+	Stages      []pipeline.Stage
 }
 
 // PipelineOutcome reports a finished run.
@@ -35,20 +39,17 @@ type PipelineOutcome struct {
 // RunPipeline executes the request's stages synchronously under a
 // concurrency slot (the same pool abstraction jobs run in). Cancelling ctx
 // stops the run at the next stage boundary or solver sampling point;
-// service shutdown cancels it too.
+// service shutdown cancels it too. The working index loads lazily, only
+// if the first stage misses the stage cache.
 func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*PipelineOutcome, error) {
-	if req.Log == nil || len(req.Log.Traces) == 0 {
-		return nil, fmt.Errorf("%w: empty log", ErrInvalidRequest)
-	}
-	stages, err := pipeline.BuildStages(req.Stages)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	if err := req.check(); err != nil {
+		return nil, err
 	}
 	set := req.Constraints
 	if set == nil {
 		set = constraints.NewSet()
 	}
-	digest := LogDigest(req.Log)
+	digest := req.logDigest()
 	base := &pipeline.State{IndexKey: digest}
 	if set.Len() > 0 {
 		base.Constraints = set
@@ -76,28 +77,28 @@ func (s *Service) RunPipeline(ctx context.Context, req PipelineRequest) (*Pipeli
 	}
 	defer func() { <-s.sem }()
 
-	// The working index: reuse a live session's frozen index when the log
-	// is already known, otherwise intern the upload once.
-	if s.sessions != nil {
-		if sess, ok := s.sessions.peek(digest); ok {
-			base.Index = sess.Index()
-		}
-	}
-	if base.Index == nil {
-		base.Index = eventlog.NewIndex(req.Log)
-	}
-
-	// Fail fast on an unsatisfiable stage list before burning a slot on
-	// partial work; Run re-validates, but this keeps the error a 400.
-	if err := pipeline.Validate(stages, base); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-
 	env, flush := s.pipelineEnv()
+	// The working index, when a stage must execute: a live session's frozen
+	// index when the log is already known, otherwise the upload interned.
+	env.LoadIndex = func() (*eventlog.Index, error) {
+		if s.sessions != nil {
+			if sess, ok := s.sessions.peek(digest); ok {
+				return sess.Index(), nil
+			}
+		}
+		log, err := req.log()
+		if err != nil {
+			return nil, err
+		}
+		return eventlog.NewIndex(log), nil
+	}
 	baseKey := pipeline.BaseKey(digest, canonicalConstraints(set))
-	out, err := pipeline.Run(runCtx, stages, base, baseKey, env)
+	out, err := pipeline.Run(runCtx, req.Stages, base, baseKey, env)
 	flush()
 	if err != nil {
+		if errors.Is(err, pipeline.ErrInvalid) {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
 		return nil, err
 	}
 	s.pipelineRuns.Add(1)

@@ -6,9 +6,7 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +15,6 @@ import (
 	"gecco/internal/conformance"
 	"gecco/internal/constraints"
 	"gecco/internal/csvlog"
-	"gecco/internal/eventlog"
 	"gecco/internal/pipeline"
 	"gecco/internal/xes"
 )
@@ -115,31 +112,14 @@ func handlePipeline(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, format, err := buildPipelineRequest(env)
+	req, format, err := buildPipelineRequest(s, env)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	out, err := s.RunPipeline(r.Context(), req)
 	if err != nil {
-		if errors.Is(err, ErrInvalidRequest) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if r.Context().Err() != nil {
-				status = 499 // client closed request
-			} else {
-				status = http.StatusServiceUnavailable
-			}
-		}
-		writeError(w, status, err)
+		writeRunError(w, r, err)
 		return
 	}
 	resp, err := buildPipelineResponse(out, format, env.IncludeAbstracted)
@@ -182,37 +162,24 @@ func decodePipelineRequest(r *http.Request) (*PipelineHTTPRequest, error) {
 	}, nil
 }
 
-// buildPipelineRequest parses the envelope into a service pipeline request
-// plus the format to serialise any returned log in.
-func buildPipelineRequest(env *PipelineHTTPRequest) (PipelineRequest, string, error) {
-	format := strings.ToLower(env.Format)
-	if format == "" {
-		if strings.HasPrefix(strings.TrimSpace(env.Log), "<") {
-			format = "xes"
-		} else {
-			format = "csv"
-		}
-	}
-	var (
-		log *eventlog.Log
-		err error
-	)
-	switch format {
-	case "xes":
-		log, err = xes.Read(strings.NewReader(env.Log))
-	case "csv":
-		log, err = csvlog.Read(strings.NewReader(env.Log), csvlog.Options{})
-	default:
-		return PipelineRequest{}, "", fmt.Errorf("unknown format %q (want xes or csv)", env.Format)
-	}
+// buildPipelineRequest turns the envelope into a service pipeline request
+// plus the format to serialise any returned log in. The stage list and the
+// constraints are checked first, so a bad request never pays for a parse;
+// the log goes through the same wire-memo decoder as /abstract's.
+func buildPipelineRequest(s *Service, env *PipelineHTTPRequest) (PipelineRequest, string, error) {
+	stages, err := pipeline.BuildStages(env.Stages)
 	if err != nil {
-		return PipelineRequest{}, "", fmt.Errorf("parsing %s log: %w", format, err)
+		return PipelineRequest{}, "", err
 	}
 	set, err := constraints.ParseSet(env.Constraints)
 	if err != nil {
 		return PipelineRequest{}, "", fmt.Errorf("parsing constraints: %w", err)
 	}
-	return PipelineRequest{Log: log, Constraints: set, Stages: env.Stages}, format, nil
+	up, format, err := s.decodeUpload(env.Format, env.Log)
+	if err != nil {
+		return PipelineRequest{}, "", err
+	}
+	return PipelineRequest{upload: up, Constraints: set, Stages: stages}, format, nil
 }
 
 func buildPipelineResponse(out *PipelineOutcome, format string, includeAbstracted bool) (*PipelineResponse, error) {

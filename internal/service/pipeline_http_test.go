@@ -2,12 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+
+	"gecco/internal/eventlog"
+	"gecco/internal/lru"
+	"gecco/internal/pipeline"
+	"gecco/internal/procgen"
 )
 
 func postPipeline(t *testing.T, srv *httptest.Server, contentType, body string, params url.Values) (*http.Response, PipelineResponse) {
@@ -247,5 +254,184 @@ func TestHTTPPipelineInvalidRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// wireStats snapshots the wire-digest memo's counters.
+func wireStats(svc *Service) lru.Stats {
+	svc.wire.mu.Lock()
+	defer svc.wire.mu.Unlock()
+	return svc.wire.lru.Stats()
+}
+
+// postPipelineError posts a raw pipeline body and returns the status and
+// the error message of the response.
+func postPipelineError(t *testing.T, srv *httptest.Server, body string, params url.Values) (int, string) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/pipeline?"+params.Encode(), "application/xml", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	return resp.StatusCode, out.Error
+}
+
+// A byte-identical /pipeline re-upload resolves its digest through the wire
+// memo and, with every stage cached, never loads the log: no session is
+// looked up, and the JSON matches the first response once timings are
+// zeroed (cached flags aside, which the second run must set throughout).
+func TestHTTPPipelineReuploadHitsWireMemo(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	logXES := runningExampleXES(t)
+	params := url.Values{"constraints": {"distinct(role) <= 1"}}
+
+	resp, out1 := postPipeline(t, srv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first: status %d: %+v", resp.StatusCode, out1)
+	}
+	wire1, sess1 := wireStats(svc), svc.Stats().Sessions
+	if wire1.Entries != 1 {
+		t.Fatalf("first /pipeline upload left %d wire memo entries, want 1", wire1.Entries)
+	}
+
+	resp, out2 := postPipeline(t, srv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second: status %d: %+v", resp.StatusCode, out2)
+	}
+	if wire2 := wireStats(svc); wire2.Hits != wire1.Hits+1 {
+		t.Fatalf("re-upload: wire memo hits %d -> %d, want one more", wire1.Hits, wire2.Hits)
+	}
+	if sess2 := svc.Stats().Sessions; sess2.Hits+sess2.Misses != sess1.Hits+sess1.Misses {
+		t.Fatalf("fully cached re-run touched the session cache: %+v -> %+v", sess1.Stats, sess2.Stats)
+	}
+	for i := range out2.Stages {
+		if !out2.Stages[i].Cached {
+			t.Fatalf("stage %s re-executed on a byte-identical re-upload", out2.Stages[i].Stage)
+		}
+		out2.Stages[i].Cached = false
+	}
+	if a, b := goldenJSON(t, out1), goldenJSON(t, out2); !bytes.Equal(a, b) {
+		t.Fatalf("memo-hit response differs:\n%s\n%s", a, b)
+	}
+}
+
+// An empty (well-formed) /pipeline upload is a 400 on every attempt: the
+// memo never learns it, so a retry cannot slip through the lazy path.
+func TestHTTPPipelineEmptyLogStillRejected(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	empty := "<log xes.version=\"1.0\"></log>"
+	params := url.Values{"constraints": {"distinct(role) <= 1"}}
+	for i := 0; i < 2; i++ {
+		status, msg := postPipelineError(t, srv, empty, params)
+		if status != http.StatusBadRequest || !strings.Contains(msg, "empty log") {
+			t.Fatalf("attempt %d: status %d (%s), want 400 empty log", i+1, status, msg)
+		}
+	}
+}
+
+// A memo hit whose stage states were evicted loads the log lazily (sessions
+// off, so the loader must parse) and answers exactly as the first run did.
+func TestHTTPPipelineMemoHitAfterStageEviction(t *testing.T) {
+	srv, svc := newTestServer(t, Options{PipelineCacheCapacity: 1, NoSessions: true})
+	logXES := runningExampleXES(t)
+	params := url.Values{"constraints": {"distinct(role) <= 1"}, "includeAbstracted": {"true"}}
+
+	resp, out1 := postPipeline(t, srv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first: status %d: %+v", resp.StatusCode, out1)
+	}
+	wire1 := wireStats(svc)
+	resp, out2 := postPipeline(t, srv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second: status %d: %+v", resp.StatusCode, out2)
+	}
+	if wireStats(svc).Hits != wire1.Hits+1 {
+		t.Fatal("second upload missed the wire memo")
+	}
+	if a, b := goldenJSON(t, out1), goldenJSON(t, out2); !bytes.Equal(a, b) {
+		t.Fatalf("lazy reload after eviction differs:\n%s\n%s", a, b)
+	}
+	for _, st := range out2.Stages {
+		if st.Cached {
+			t.Fatalf("stage %s served from a one-entry cache that every run churns", st.Stage)
+		}
+	}
+}
+
+// The memo is shared by both endpoints: an /abstract upload warms it for a
+// later /pipeline of the same bytes, whose answer matches a cold service's.
+func TestHTTPAbstractWarmsMemoForPipeline(t *testing.T) {
+	srv, svc := newTestServer(t, Options{})
+	logXES := runningExampleXES(t)
+	params := url.Values{"constraints": {"distinct(role) <= 1"}}
+
+	if resp, _ := postAbstract(t, srv, logXES, params); resp.StatusCode != http.StatusOK {
+		t.Fatalf("abstract: status %d", resp.StatusCode)
+	}
+	wire1 := wireStats(svc)
+	resp, warm := postPipeline(t, srv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pipeline: status %d: %+v", resp.StatusCode, warm)
+	}
+	if wireStats(svc).Hits != wire1.Hits+1 {
+		t.Fatal("/pipeline missed the memo entry /abstract learned")
+	}
+	coldSrv, _ := newTestServer(t, Options{})
+	resp, cold := postPipeline(t, coldSrv, "application/xml", logXES, params)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold pipeline: status %d: %+v", resp.StatusCode, cold)
+	}
+	if a, b := goldenJSON(t, cold), goldenJSON(t, warm); !bytes.Equal(a, b) {
+		t.Fatalf("memo-warmed pipeline differs from a cold one:\n%s\n%s", a, b)
+	}
+}
+
+// Cheap checks come first: a bad stage list with a malformed body is
+// rejected for the stage list, not the parse; and on a memo hit an
+// unsatisfiable stage list is the engine's 400, naming the stage.
+func TestHTTPPipelineStageErrorsBeforeParse(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	status, msg := postPipelineError(t, srv, "<log><trace>not xml",
+		url.Values{"stages": {`[{"stage":"bogus"}]`}})
+	if status != http.StatusBadRequest || !strings.Contains(msg, `"bogus"`) || strings.Contains(msg, "parsing") {
+		t.Fatalf("bad stage list + malformed body: status %d (%s), want 400 naming the stage", status, msg)
+	}
+
+	logXES := runningExampleXES(t)
+	if resp, out := postPipeline(t, srv, "application/xml", logXES, url.Values{"stages": {`[{"stage":"discover"}]`}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("discover: status %d: %+v", resp.StatusCode, out)
+	}
+	status, msg = postPipelineError(t, srv, logXES, url.Values{"stages": {`[{"stage":"conform"}]`}})
+	if status != http.StatusBadRequest || !strings.Contains(msg, "(conform) needs") {
+		t.Fatalf("conform without a model: status %d (%s), want 400 naming the stage", status, msg)
+	}
+}
+
+// A panic while a pipeline runs fails that run with an error (a 500 over
+// HTTP), releases its slot, and leaves the service serving.
+func TestRunPipelinePanicFailsOnlyTheRun(t *testing.T) {
+	svc := New(Options{MaxConcurrent: 1})
+	defer svc.Close()
+	stages, err := pipeline.BuildStages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := mustSet(t, "distinct(role) <= 1")
+	bad := PipelineRequest{
+		upload:      upload{digest: "boom", loadLog: func() (*eventlog.Log, error) { panic("loader exploded") }},
+		Constraints: set,
+		Stages:      stages,
+	}
+	_, err = svc.RunPipeline(context.Background(), bad)
+	if err == nil || errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "panicked: loader exploded") {
+		t.Fatalf("panicking run: %v, want a server error carrying the panic", err)
+	}
+	good := PipelineRequest{upload: upload{Log: procgen.RunningExampleTable1()}, Constraints: set, Stages: stages}
+	if _, err := svc.RunPipeline(context.Background(), good); err != nil {
+		t.Fatalf("run after a panic: %v", err)
 	}
 }

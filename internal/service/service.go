@@ -158,10 +158,54 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// upload is a request's event log: parsed (Log), or — from a wire-memo hit
+// in decodeUpload — only its digest and a loader, so a request served from
+// a cache never pays the parse. Invariant: Log is non-nil or digest is set.
+type upload struct {
+	Log *eventlog.Log
+	// digest memoises LogDigest(Log) so a batch solving N constraint sets
+	// against one log hashes it once, not N times. Filled lazily inside the
+	// service; external callers leave it empty.
+	digest string
+	// loadLog, when non-nil, parses the uploaded log on demand.
+	loadLog func() (*eventlog.Log, error)
+}
+
+// logDigest returns the upload's memoised log digest, computing it on
+// first use.
+func (u *upload) logDigest() string {
+	if u.digest == "" {
+		u.digest = LogDigest(u.Log)
+	}
+	return u.digest
+}
+
+// log returns the parsed event log, invoking the lazy loader on first use.
+func (u *upload) log() (*eventlog.Log, error) {
+	if u.Log == nil && u.loadLog != nil {
+		l, err := u.loadLog()
+		if err != nil {
+			return nil, err
+		}
+		u.Log = l
+	}
+	return u.Log, nil
+}
+
+// check rejects an empty log. A lazy upload is valid unparsed: the wire
+// memo only learns uploads that parsed non-empty.
+func (u *upload) check() error {
+	lazy := u.Log == nil && u.digest != "" && u.loadLog != nil
+	if !lazy && (u.Log == nil || len(u.Log.Traces) == 0) {
+		return fmt.Errorf("%w: empty log", ErrInvalidRequest)
+	}
+	return nil
+}
+
 // Request is one abstraction problem: a log, a parsed constraint set, and a
 // pipeline configuration.
 type Request struct {
-	Log         *eventlog.Log
+	upload
 	Constraints *constraints.Set
 	Config      core.Config
 	// Tag is opaque caller metadata echoed on job snapshots; the HTTP
@@ -170,37 +214,6 @@ type Request struct {
 	// keep the first submitter's tag (HTTP pollers can override with
 	// ?format=). It does not participate in the cache key.
 	Tag string
-	// digest memoises LogDigest(Log) so a batch solving N constraint sets
-	// against one log hashes it once, not N times. Filled lazily inside the
-	// service; external callers leave it empty.
-	digest string
-	// loadLog, when non-nil, parses the uploaded log on demand. The HTTP
-	// layer sets it together with a pre-known digest (via the wire-digest
-	// memo) and leaves Log nil, so requests served from the result cache —
-	// or from a warm-opened spilled index — never pay the parse. Invariant:
-	// either Log is non-nil or digest is non-empty.
-	loadLog func() (*eventlog.Log, error)
-}
-
-// logDigest returns the request's memoised log digest, computing it on
-// first use.
-func (r *Request) logDigest() string {
-	if r.digest == "" {
-		r.digest = LogDigest(r.Log)
-	}
-	return r.digest
-}
-
-// log returns the parsed event log, invoking the lazy loader on first use.
-func (r *Request) log() (*eventlog.Log, error) {
-	if r.Log == nil && r.loadLog != nil {
-		l, err := r.loadLog()
-		if err != nil {
-			return nil, err
-		}
-		r.Log = l
-	}
-	return r.Log, nil
 }
 
 // JobState enumerates a job's lifecycle.
@@ -571,12 +584,8 @@ func (s *Service) Stats() Stats {
 }
 
 func validate(req Request) error {
-	// A digest-bearing lazy request is valid without a parsed Log: the
-	// wire-digest memo only learns uploads that passed this check parsed,
-	// so the lazy path cannot smuggle in an empty log.
-	lazy := req.Log == nil && req.digest != "" && req.loadLog != nil
-	if !lazy && (req.Log == nil || len(req.Log.Traces) == 0) {
-		return fmt.Errorf("%w: empty log", ErrInvalidRequest)
+	if err := req.check(); err != nil {
+		return err
 	}
 	if req.Constraints == nil {
 		return fmt.Errorf("%w: nil constraint set", ErrInvalidRequest)

@@ -24,7 +24,7 @@ func roleRequest(t *testing.T) Request {
 		t.Fatal(err)
 	}
 	return Request{
-		Log:         procgen.RunningExampleTable1(),
+		upload:      upload{Log: procgen.RunningExampleTable1()},
 		Constraints: set,
 		Config:      core.Config{Mode: core.DFGUnbounded},
 	}
@@ -39,7 +39,7 @@ func slowRequest(t *testing.T) Request {
 		t.Fatal(err)
 	}
 	return Request{
-		Log:         procgen.LoanLog(400, 17),
+		upload:      upload{Log: procgen.LoanLog(400, 17)},
 		Constraints: set,
 		Config:      core.Config{Mode: core.Exhaustive},
 	}

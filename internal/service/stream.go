@@ -231,7 +231,7 @@ func (s *Service) streamPipeline(ctx context.Context, window *eventlog.Log, set 
 	if cfg.Workers == 0 && s.opts.DefaultWorkers > 0 {
 		cfg.Workers = s.opts.DefaultWorkers
 	}
-	req := Request{Log: window, Constraints: set, Config: cfg}
+	req := Request{upload: upload{Log: window}, Constraints: set, Config: cfg}
 	key := ""
 	if Cacheable(cfg) {
 		key = requestKey(req.logDigest(), set, cfg)
